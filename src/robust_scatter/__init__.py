@@ -19,6 +19,7 @@ from .estimators import (
     SolverConfig,
     UFunction,
     check_te_existence,
+    fit,
     fixed_point_residual,
     huber_u,
     interference_h,

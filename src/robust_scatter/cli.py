@@ -26,11 +26,9 @@ from .estimators import (
     ScatterEstimate,
     ScatterMatrix,
     SolverConfig,
-    maronna,
-    maronna_regularized,
+    fit,
     resolve_u,
     tyler,
-    tyler_regularized,
 )
 from .experiment import (
     ExperimentConfig,
@@ -39,8 +37,8 @@ from .experiment import (
     stieltjes_diag,
     weight_deviation_experiment,
 )
-from .master_equation import QMonteCarlo, solve_master
-from .model import Dataset, load_dataset_csv, sample_covariance
+from .master_equation import solve_master
+from .model import load_dataset_csv, sample_covariance, save_matrix_csv, write_text_atomic
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import sparse_cov_estimate
@@ -67,15 +65,8 @@ class _Parser(argparse.ArgumentParser):
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _write_sidecar(out_path: str, command: str, args: argparse.Namespace,
@@ -123,11 +114,6 @@ def estimate_from_dict(doc: dict) -> ScatterEstimate:
         converged=bool(doc["converged"]),
         u=u,
     )
-
-
-def _matrix_csv_text(m: np.ndarray, digits: int = 10) -> str:
-    lines = [",".join(f"{v:.{digits}g}" for v in row) for row in np.atleast_2d(m)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +172,6 @@ def _solver_cfg(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
 
-def _run_estimator(kind: str, data: Dataset, args: argparse.Namespace) -> ScatterEstimate:
-    cfg = _solver_cfg(args)
-    if kind == "TE":
-        return tyler(data, cfg)
-    if kind == "ME":
-        return maronna(data, resolve_u(args.u), cfg)
-    if kind == "TRE":
-        return tyler_regularized(data, args.alpha, cfg)
-    return maronna_regularized(data, resolve_u(args.u), args.alpha, cfg)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -205,7 +180,8 @@ def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     data = load_dataset_csv(args.input)
     kind = KIND_BY_NAME[args.kind]
-    est = _run_estimator(kind, data, args)
+    u = resolve_u(args.u) if kind in ("ME", "MRE") else None
+    est = fit(kind, data, u, args.alpha, _solver_cfg(args))
     if not est.converged:
         _fail("non_convergence",
               f"{kind} did not converge within {args.max_iter} iterations "
@@ -245,7 +221,7 @@ def _cmd_simulate(args) -> int:
             f"{r.p},{r.n},{r.linf_mean:.10g},{r.linf_stderr:.10g},"
             f"{r.rmse_mean:.10g},{r.rmse_stderr:.10g}"
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text_atomic(args.out, "\n".join(lines) + "\n")
     extra = {
         "slope_linf": report.slope_linf,
         "intercept_linf": report.intercept_linf,
@@ -305,10 +281,8 @@ def _cmd_master_eq(args) -> int:
     }
     if res.kind == "TRE":
         # internal sanity: at the root, Q must equal 1/(1+alpha-gamma)
-        mc = QMonteCarlo(spec, shape, n, p, args.reps, args.seed)
-        q_at_root, _ = mc.q(1.0, args.alpha * res.d_star)
-        payload["q_at_root"] = q_at_root
-        payload["tre_identity_gap"] = abs(q_at_root - 1.0 / (1.0 + args.alpha - gamma))
+        payload["q_at_root"] = res.q_star
+        payload["tre_identity_gap"] = abs(res.q_star - 1.0 / (1.0 + args.alpha - gamma))
     if args.out:
         _write_json(args.out, payload)
         _write_sidecar(args.out, "master-eq", args, {}, time.perf_counter() - t0)
@@ -322,7 +296,7 @@ def _cmd_sparse_cov(args) -> int:
     data = load_dataset_csv(args.input)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     est = sparse_cov_estimate(data, args.c1, truth=truth, cfg=_solver_cfg(args))
-    _write_text(args.out, _matrix_csv_text(est.matrix))
+    save_matrix_csv(est.matrix, args.out)
     extra = {
         "method": est.method,
         "threshold": est.parameter,
@@ -347,7 +321,7 @@ def _cmd_clime(args) -> int:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     out = clime_solve(proxy, args.lam, truth=truth, threads=_threads(args))
-    _write_text(args.out, _matrix_csv_text(out.matrix))
+    save_matrix_csv(out.matrix, args.out)
     extra = {
         "method": out.method,
         "lambda": out.parameter,

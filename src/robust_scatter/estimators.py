@@ -45,6 +45,7 @@ __all__ = [
     "maronna",
     "tyler_regularized",
     "maronna_regularized",
+    "fit",
     "interference_h",
     "tyler_objective",
     "check_te_existence",
@@ -351,6 +352,25 @@ def maronna_regularized(data: Dataset, u: UFunction, alpha: float,
     return _solve("MRE", data, u, alpha, cfg)
 
 
+def fit(kind: str, data: Dataset, u: Optional[UFunction] = None, alpha: float = 0.0,
+        cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
+    """Solve the estimator of `kind` (TE, ME, TRE or MRE) on `data`.
+
+    `u` is read by ME and MRE, `alpha` by TRE and MRE; other kinds ignore them.
+    """
+    if kind == "TE":
+        return tyler(data, cfg)
+    if kind == "TRE":
+        return tyler_regularized(data, alpha, cfg)
+    if kind not in ("ME", "MRE"):
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    if u is None:
+        raise ValueError(f"kind {kind} needs a u function")
+    if kind == "ME":
+        return maronna(data, u, cfg)
+    return maronna_regularized(data, u, alpha, cfg)
+
+
 # ---------------------------------------------------------------------------
 # analysis helpers
 # ---------------------------------------------------------------------------
@@ -405,12 +425,9 @@ def check_te_existence(data: Dataset) -> bool:
 def weights_from_matrix(kind: str, data: Dataset, matrix: ScatterMatrix,
                         u: Optional[UFunction] = None) -> np.ndarray:
     """Weights the defining equation of `kind` assigns to `matrix` on `data`."""
-    d = quad_forms(data.samples, matrix.entries)
-    if kind in ("TE", "TRE"):
-        return 1.0 / d
-    if u is None:
+    if kind not in ("TE", "TRE") and u is None:
         raise ValueError(f"kind {kind} needs a u function to recompute weights")
-    return np.asarray(u.u(d), dtype=float)
+    return _weights_for(kind, quad_forms(data.samples, matrix.entries), u)
 
 
 def fixed_point_residual(est: ScatterEstimate, data: Dataset) -> float:

@@ -17,17 +17,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .estimators import (
-    SolverConfig,
-    UFunction,
-    maronna,
-    maronna_regularized,
-    quad_forms,
-    tyler,
-    tyler_regularized,
-)
+from .estimators import SolverConfig, UFunction, fit, quad_forms
 from .master_equation import predicted_weight, solve_master
-from .model import Dataset, leave_one_out_covariance, sample_covariance
+from .model import Dataset, sample_covariance
 from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
@@ -131,17 +123,6 @@ def weight_deviations(weights: np.ndarray, w_star: float) -> Tuple[float, float]
     return float(dev.max()), float(np.sqrt(np.mean(dev * dev)))
 
 
-def _solve_kind(cfg: ExperimentConfig, data: Dataset):
-    solver_cfg = SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter)
-    if cfg.kind == "TE":
-        return tyler(data, solver_cfg)
-    if cfg.kind == "ME":
-        return maronna(data, cfg.u, solver_cfg)
-    if cfg.kind == "TRE":
-        return tyler_regularized(data, cfg.alpha, solver_cfg)
-    return maronna_regularized(data, cfg.u, cfg.alpha, solver_cfg)
-
-
 def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int, n: int) -> float:
     if cfg.kind == "TE":
         return predicted_weight("TE", tau_p=1.0)
@@ -162,7 +143,7 @@ def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
     """Deviations for one seeded replicate, or None when the solve fails."""
     seed = derive_seed(cfg.base_seed, dim_index, rep)
     data = sample(cfg.dist, n, p, seed)
-    est = _solve_kind(cfg, data)
+    est = fit(cfg.kind, data, cfg.u, cfg.alpha, SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter))
     if not est.converged:
         return None
     return weight_deviations(est.weights, w_star)
@@ -287,9 +268,11 @@ def quadratic_form_diagnostics(data: Dataset) -> QuadraticFormReport:
     s = sample_covariance(data).entries
     q_full = quad_forms(x, s)
 
+    # downdate S per row, but factor each S_{-i} on its own: the link below
+    # must compare two independent factorizations
     q_loo = np.empty(n)
     for i in range(n):
-        s_minus = leave_one_out_covariance(data, i).entries
+        s_minus = s - np.outer(x[i], x[i]) / n
         q_loo[i] = float(quad_forms(x[i : i + 1], s_minus)[0])
 
     linked = q_loo / (1.0 + gamma * q_loo)

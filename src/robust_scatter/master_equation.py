@@ -45,8 +45,8 @@ class MasterEquationResult:
     """Root of the master equation with Monte-Carlo error bars.
 
     ``bracket`` is the final bisection bracket (F > 1 on the left endpoint,
-    < 1 on the right, at the Monte-Carlo estimates); ``mc_stderr`` is the
-    standard error of the Q estimate at ``d_star``.
+    < 1 on the right, at the Monte-Carlo estimates); ``q_star`` is the
+    Monte-Carlo Q at ``d_star`` and ``mc_stderr`` its standard error.
     """
 
     d_star: float
@@ -56,6 +56,7 @@ class MasterEquationResult:
     mc_stderr: float
     predicted_weight: float
     kind: str
+    q_star: float
 
 
 def q_hat(d: float, data: Dataset, i: int, u: UFunction, alpha: float) -> float:
@@ -229,6 +230,7 @@ def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
         mc_stderr=se_mid,
         predicted_weight=w_star,
         kind=kind,
+        q_star=q_mid,
     )
 
 

@@ -7,6 +7,7 @@ normalization (also for leave-one-out versions), and indices are zero-based.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ __all__ = [
     "matrix_norms",
     "load_dataset_csv",
     "save_matrix_csv",
+    "write_text_atomic",
 ]
 
 
@@ -191,10 +193,18 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(np.array(rows, dtype=float))
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to ``<path>.tmp`` and rename it onto `path`, so `path`
+    never holds a partially written file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_matrix_csv(m: np.ndarray, path, digits: int = 10) -> None:
-    """Write a matrix in the dataset CSV format with `digits` significant digits."""
-    a = np.asarray(m, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        for row in np.atleast_2d(a):
-            fh.write(",".join(f"{v:.{digits}g}" for v in row))
-            fh.write("\n")
+    """Write a matrix in the dataset CSV format with `digits` significant
+    digits, atomically (see `write_text_atomic`)."""
+    rows = np.atleast_2d(np.asarray(m, dtype=float))
+    write_text_atomic(path, "".join(",".join(f"{v:.{digits}g}" for v in row) + "\n"
+                                    for row in rows))

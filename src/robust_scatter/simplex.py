@@ -1,11 +1,10 @@
-"""Dense two-phase simplex for small LPs, with Bland's anti-cycling rule.
+"""Small LPs through scipy's HiGHS dual simplex.
 
-Solves   min c^T x   subject to   A x <= b,  x >= 0.
+Solves   min c^T x   subject to   A x <= b,  x >= 0,
 
-Scope is desk-sized problems (a few hundred variables): the tableau is kept
-dense, entering columns are chosen by smallest index among negative reduced
-costs, and ratio-test ties go to the smallest basic variable index, which
-makes the pivot sequence finite and deterministic.
+and maps the HiGHS outcome onto the package's typed errors. ``linprog`` is
+imported on first use: ``scipy.optimize`` adds more than half to the
+package's import time, and only the CLIME pipeline needs it.
 """
 
 from __future__ import annotations
@@ -16,126 +15,21 @@ from .errors import ConvergenceError, InfeasibleError, UnboundedError
 
 __all__ = ["solve_lp"]
 
-_TOL = 1e-9
 
-
-def _pivot(t: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    t[row] /= t[row, col]
-    piv = t[row]
-    for r in range(t.shape[0]):
-        if r != row and t[r, col] != 0.0:
-            t[r] -= t[r, col] * piv
-    if obj[col] != 0.0:
-        obj -= obj[col] * piv
-    basis[row] = col
-
-
-def _bland_iterate(t: np.ndarray, obj: np.ndarray, basis: np.ndarray,
-                   allowed: np.ndarray, max_pivots: int) -> None:
-    m = t.shape[0]
-    for _ in range(max_pivots):
-        enter = -1
-        for j in allowed:
-            if obj[j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return
-        ratio = np.inf
-        leave = -1
-        for r in range(m):
-            a = t[r, enter]
-            if a > _TOL:
-                q = t[r, -1] / a
-                # Bland tie-break: smallest basic index among minimal ratios
-                if q < ratio - _TOL or (q <= ratio + _TOL and
-                                        (leave < 0 or basis[r] < basis[leave])):
-                    if q < ratio:
-                        ratio = q
-                    leave = r
-        if leave < 0:
-            raise UnboundedError("objective is unbounded below")
-        _pivot(t, obj, basis, leave, enter)
-    raise ConvergenceError("simplex exceeded the pivot limit")
-
-
-def solve_lp(c, a_ub, b_ub, max_pivots: int | None = None):
+def solve_lp(c, a_ub, b_ub):
     """Minimize c @ x over {A x <= b, x >= 0}; returns (x, objective).
 
-    Raises InfeasibleError or UnboundedError as appropriate.
+    Raises InfeasibleError or UnboundedError as appropriate, and
+    ConvergenceError for any other solver failure.
     """
-    a = np.array(a_ub, dtype=float, copy=True)
-    b = np.array(b_ub, dtype=float, copy=True)
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    m, nv = a.shape
-    if b.shape != (m,) or c.shape != (nv,):
-        raise ValueError("inconsistent LP dimensions")
-
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    n_slack = m
-    n_art = art_rows.size
-    ncols = nv + n_slack + n_art
-
-    t = np.zeros((m, ncols + 1))
-    t[:, :nv] = a
-    slack_sign = np.where(flip, -1.0, 1.0)
-    t[np.arange(m), nv + np.arange(m)] = slack_sign
-    for idx, r in enumerate(art_rows):
-        t[r, nv + n_slack + idx] = 1.0
-    t[:, -1] = b
-
-    basis = np.empty(m, dtype=int)
-    art_of_row = {int(r): nv + n_slack + i for i, r in enumerate(art_rows)}
-    for r in range(m):
-        basis[r] = art_of_row.get(r, nv + r)
-
-    if max_pivots is None:
-        max_pivots = 200 * (m + ncols) + 1000
-
-    if n_art:
-        # phase 1: minimize the artificial total
-        obj = np.zeros(ncols + 1)
-        obj[nv + n_slack : -1] = 1.0
-        for r in art_rows:
-            obj -= t[r]
-        _bland_iterate(t, obj, basis, np.arange(ncols), max_pivots)
-        art_total = sum(t[r, -1] for r in range(m) if basis[r] >= nv + n_slack)
-        if art_total > 1e-7:
-            raise InfeasibleError(f"LP infeasible (artificial residual {art_total:.3g})")
-        # drive leftover artificials out of the basis; drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= nv + n_slack:
-                col = -1
-                for j in range(nv + n_slack):
-                    if abs(t[r, j]) > _TOL:
-                        col = j
-                        break
-                if col >= 0:
-                    _pivot(t, obj, basis, r, col)
-                else:
-                    keep[r] = False
-        if not keep.all():
-            t = t[keep]
-            basis = basis[keep]
-            m = t.shape[0]
-
-    # phase 2: artificial columns stay in the tableau but can never enter
-    c_full = np.zeros(ncols + 1)
-    c_full[:nv] = c
-    obj = c_full.copy()
-    for r in range(m):
-        if obj[basis[r]] != 0.0:
-            obj -= obj[basis[r]] * t[r]
-    _bland_iterate(t, obj, basis, np.arange(nv + n_slack), max_pivots)
-
-    x = np.zeros(nv)
-    for r in range(m):
-        if basis[r] < nv:
-            x[basis[r]] = t[r, -1]
-    return x, float(c @ x)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    if res.status == 2:
+        raise InfeasibleError(f"LP infeasible: {res.message}")
+    if res.status == 3:
+        raise UnboundedError(f"objective is unbounded below: {res.message}")
+    if res.status != 0:
+        raise ConvergenceError(f"LP solver failed (status {res.status}): {res.message}")
+    return res.x, float(c @ res.x)

@@ -89,8 +89,8 @@ def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     """Solve one CLIME column:  min ||w||_1  s.t.  ||S_hat w - e_j||_inf <= lambda.
 
     Uses the w = w+ - w- split (2p nonnegative variables, 2p inequality
-    rows) and the dense Bland-rule simplex. Raises InfeasibleError when no
-    w satisfies the constraint at this lambda.
+    rows) and the HiGHS dual simplex behind `solve_lp`. Raises
+    InfeasibleError when no w satisfies the constraint at this lambda.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robust_scatter
 from robust_scatter import sample, DistributionSpec, save_matrix_csv
 from robust_scatter.cli import estimate_from_dict, estimate_to_dict, main
 
@@ -193,3 +198,14 @@ def test_help_lists_commands(capsys):
     text = capsys.readouterr().out
     for cmd in ("estimate", "simulate", "master-eq", "sparse-cov", "clime", "diagnose"):
         assert cmd in text
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the LP solver imports scipy.optimize on first use; importing it with
+    # the CLI would add its load time to every command
+    src = str(Path(robust_scatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, robust_scatter.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from robust_scatter import (
     SolverConfig,
     apply_shape,
     check_te_existence,
+    fit,
     fixed_point_residual,
     huber_u,
     interference_h,
@@ -229,6 +230,29 @@ class TestRegularized:
         x[1:] = np.random.default_rng(11).standard_normal((4, 2))
         with pytest.raises(ExistenceError):
             tyler_regularized(Dataset(x), 1.0)
+
+
+class TestFit:
+    def test_dispatches_to_each_solver(self):
+        data = sample(DistributionSpec("gaussian"), 60, 6, seed=12)
+        u = rational_u()
+        direct = {
+            "TE": tyler(data),
+            "ME": maronna(data, u),
+            "TRE": tyler_regularized(data, 0.5),
+            "MRE": maronna_regularized(data, u, 0.5),
+        }
+        for kind, est in direct.items():
+            got = fit(kind, data, u=u, alpha=0.5)
+            assert got.kind == kind
+            np.testing.assert_array_equal(got.matrix.entries, est.matrix.entries)
+
+    def test_rejects_unknown_kind_and_missing_u(self):
+        data = sample(DistributionSpec("gaussian"), 30, 3, seed=13)
+        with pytest.raises(ValueError):
+            fit("XE", data)
+        with pytest.raises(ValueError):
+            fit("MRE", data, alpha=1.0)
 
 
 class TestInterferenceFunction:

@@ -115,6 +115,11 @@ class TestSolveMaster:
         assert res.bracket[0] < res.d_star < res.bracket[1]
         assert res.predicted_weight == pytest.approx(1.0 / res.d_star, rel=1e-12)
 
+    def test_q_star_is_monte_carlo_q_at_root(self):
+        res = solve_master(GAUSS, None, 120, 60, alpha=1.0, u=None, reps=50, seed=3)
+        q, _ = QMonteCarlo(GAUSS, None, 120, 60, reps=50, seed=3).q(1.0, 1.0 * res.d_star)
+        assert res.q_star == q
+
     def test_mre_upper_bound_identity_shape(self):
         res = solve_master(GAUSS, None, 80, 40, alpha=1.0, u=rational_u(),
                            reps=100, seed=4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robust_scatter import (
+    Dataset,
     DistributionSpec,
     InfeasibleError,
     RadialLaw,
@@ -184,3 +185,23 @@ class TestClime:
         naive_err = np.linalg.norm(np.linalg.inv(est.matrix.entries) - omega_true, 2)
         out = clime(est.matrix, 0.02, truth=omega_true)
         assert out.error_vs_truth.operator_norm < naive_err
+
+
+def test_clime_column_at_the_clime_rate_on_a_tyler_proxy():
+    # multivariate t5 rows with a tridiagonal shape, p = 40, n = 400, at
+    # lambda = sqrt(log p / n): many-pivot programs, not one-pivot ones
+    p, n = 40, 400
+    rng = np.random.default_rng(11)
+    tri = np.eye(p) + 0.4 * (np.eye(p, k=1) + np.eye(p, k=-1))
+    g = rng.standard_normal((n, p)) @ np.linalg.cholesky(tri).T
+    rows = g / np.sqrt(rng.chisquare(5, size=n) / 5)[:, None]
+    s = tyler(Dataset(rows)).matrix.entries
+    lam = float(np.sqrt(np.log(p) / n))
+    s_inv = np.linalg.inv(s)
+    for j in (0, p // 2, p - 1):
+        w = clime_column(ScatterMatrix(s), j, lam)
+        ej = np.zeros(p)
+        ej[j] = 1.0
+        assert np.max(np.abs(s @ w - ej)) <= lam + 1e-9
+        # S^{-1} e_j is feasible, so the l1 minimizer cannot exceed its norm
+        assert np.abs(w).sum() <= np.abs(s_inv[:, j]).sum() + 1e-9

@@ -39,6 +39,7 @@ from .experiment import (
 )
 from .master_equation import solve_master
 from .model import load_dataset_csv, sample_covariance, save_matrix_csv, write_text_atomic
+from .parallel import blas_report
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import sparse_cov_estimate
@@ -162,10 +163,12 @@ def _dist_spec(args: argparse.Namespace, p: int) -> DistributionSpec:
     )
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    return int(os.environ.get("ROBUST_SCATTER_THREADS", "1"))
+def _resolve_threads(args: argparse.Namespace) -> int:
+    """Worker count from --threads, else ROBUST_SCATTER_THREADS, else 1;
+    stored back on `args` so the sidecar echoes the count that ran."""
+    if args.threads is None:
+        args.threads = int(os.environ.get("ROBUST_SCATTER_THREADS", "1"))
+    return args.threads
 
 
 def _solver_cfg(args: argparse.Namespace) -> SolverConfig:
@@ -212,7 +215,7 @@ def _cmd_simulate(args) -> int:
         max_iter=args.max_iter,
         mc_reps=args.mc_reps,
         tol_root=args.tol_root,
-        threads=_threads(args),
+        threads=_resolve_threads(args),
     )
     report = weight_deviation_experiment(cfg)
     lines = ["p,n,linf_mean,linf_stderr,rmse_mean,rmse_stderr"]
@@ -241,6 +244,7 @@ def _cmd_simulate(args) -> int:
         ],
         "failures": [r.failures for r in report.rows],
         "experiment_wall_time_s": report.wall_time,
+        "blas": blas_report(),
     }
     _write_sidecar(args.out, "simulate", args, extra, time.perf_counter() - t0)
     return 0
@@ -320,13 +324,14 @@ def _cmd_clime(args) -> int:
     else:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
-    out = clime_solve(proxy, args.lam, truth=truth, threads=_threads(args))
+    out = clime_solve(proxy, args.lam, truth=truth, threads=_resolve_threads(args))
     save_matrix_csv(out.matrix, args.out)
     extra = {
         "method": out.method,
         "lambda": out.parameter,
         "input_norms": _norms_dict(out.input_norms),
         "error_vs_truth": _norms_dict(out.error_vs_truth) if out.error_vs_truth else None,
+        "blas": blas_report(),
     }
     _write_sidecar(args.out, "clime", args, extra, time.perf_counter() - t0)
     return 0
@@ -444,7 +449,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--truth", default=None, help="optional CSV with the true inverse shape")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=500)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="worker threads (default: ROBUST_SCATTER_THREADS or 1)")
     sp.set_defaults(func=_cmd_clime)
 
     sp = sub.add_parser("diagnose", formatter_class=fmt,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -20,6 +19,7 @@ from .errors import ConvergenceError
 from .estimators import SolverConfig, UFunction, fit, quad_forms
 from .master_equation import predicted_weight, solve_master
 from .model import Dataset, sample_covariance
+from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
@@ -79,8 +79,6 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} needs alpha > 0")
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -162,14 +160,8 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for k, p in enumerate(cfg.dims):
         n = cfg.ratio * p
         w_star = _limit_weight(cfg, k, p, n)
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(
-                    lambda rep: _replicate(cfg, k, p, n, rep, w_star), range(cfg.reps)
-                ))
-        else:
-            results = [_replicate(cfg, k, p, n, rep, w_star) for rep in range(cfg.reps)]
+        results = map_units(lambda rep: _replicate(cfg, k, p, n, rep, w_star),
+                            range(cfg.reps), cfg.threads)
 
         ok = [r for r in results if r is not None]
         failures = cfg.reps - len(ok)

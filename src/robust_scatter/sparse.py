@@ -12,7 +12,6 @@ Two pipelines:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .estimators import SolverConfig, tyler
 from .model import Dataset, NormReport, ScatterMatrix, matrix_norms
+from .parallel import map_units
 from .simplex import solve_lp
 
 __all__ = [
@@ -114,13 +114,7 @@ def clime(s_hat: ScatterMatrix, lam: float,
     estimates has the smaller magnitude (exact ties average), so the output
     equals its transpose exactly.
     """
-    p = s_hat.p
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(lambda j: clime_column(s_hat, j, lam), range(p)))
-    else:
-        cols = [clime_column(s_hat, j, lam) for j in range(p)]
+    cols = map_units(lambda j: clime_column(s_hat, j, lam), range(s_hat.p), threads)
     w = np.column_stack(cols)  # w[i, j] = column-j estimate of entry (i, j)
 
     wt = w.T

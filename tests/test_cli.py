@@ -147,6 +147,71 @@ class TestSparsePipelines:
         assert side["method"] == "clime" and side["lambda"] == 0.3
 
 
+SIMULATE_SMALL = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",
+                  "--reps", "2", "--seed", "4")
+
+
+class TestThreads:
+    """One worker-count check for every command that runs a worker map."""
+
+    @staticmethod
+    def _commands(data_csv, tmp_path):
+        return {
+            "simulate": (*SIMULATE_SMALL, "--out", tmp_path / "fig.csv"),
+            "clime": ("clime", "--input", data_csv, "--lambda", "0.3",
+                      "--out", tmp_path / "om.csv"),
+        }
+
+    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    def test_flag_below_one_exits_1(self, command, data_csv, tmp_path, capsys):
+        args = self._commands(data_csv, tmp_path)[command]
+        assert run(*args, "--threads", "0") == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not Path(args[-1]).exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    def test_environment_below_one_exits_1(self, command, data_csv, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("ROBUST_SCATTER_THREADS", "-2")
+        args = self._commands(data_csv, tmp_path)[command]
+        assert run(*args) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not Path(args[-1]).exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    def test_sidecar_records_resolved_threads_and_blas(self, command, data_csv, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("ROBUST_SCATTER_THREADS", "2")
+        args = self._commands(data_csv, tmp_path)[command]
+        assert run(*args) == 0
+        side = json.loads(Path(f"{args[-1]}.meta.json").read_text())
+        assert side["config"]["threads"] == 2
+        assert isinstance(side["blas"], list)
+        for entry in side["blas"]:
+            assert set(entry) == {"library", "threads", "in_loops"}
+            assert entry["in_loops"] in ("pinned", "unmanaged")
+            assert (entry["threads"] is None) == (entry["in_loops"] == "unmanaged")
+
+
+def test_blas_threads_do_not_change_simulate_output(tmp_path):
+    # TRE runs its master-equation solve outside the worker map, so both the
+    # pinned replicate loop and unpinned BLAS calls are covered
+    src = str(Path(robust_scatter.__file__).resolve().parents[1])
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for kind, extra in (("tyler", ()), ("tyler-reg", ("--alpha", "1", "--mc-reps", "40"))):
+            path = out.with_suffix(f".{kind}.csv")
+            subprocess.run([sys.executable, "-m", "robust_scatter.cli", "simulate",
+                            "--kind", kind, *extra, "--dist", "laplace", "--dims", "32,96",
+                            "--reps", "3", "--seed", "11", "--threads", "2", "--out", path],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs.append(path.read_bytes())
+    assert outputs[:2] == outputs[2:]
+
+
 class TestDiagnose:
     def test_synthetic_report(self, capsys):
         rc = run("diagnose", "--dist", "gaussian", "--p", "20", "--n", "60", "--seed", "1")

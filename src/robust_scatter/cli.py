@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Subcommands: estimate, simulate, master-eq, sparse-cov, clime, diagnose.
-Every command writes a primary artifact (CSV or JSON by extension) with a
-JSON sidecar (`<out>.meta.json`) echoing the full configuration and package
-version, so any run can be reproduced exactly. Primary outputs are written
-to a temporary file and renamed, never partially written.
+Each command returns its primary artifact (CSV or JSON text) and the
+command-specific sidecar fields; `main` does the rest, the same way for all
+six. It times the run, writes the artifact to a temporary file renamed
+onto `--out` (never partially written), or to stdout when `master-eq` or
+`diagnose` get no `--out`, and next to it a JSON sidecar
+(`<out>.meta.json`) echoing the full configuration, package version and
+BLAS configuration, so any run can be reproduced exactly.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the failure is
-reported as JSON on stdout with a machine-readable ``code``).
+reported as JSON on stdout with a machine-readable ``code``). Failures are
+raised, and reported by `main` alone.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .errors import RobustScatterError
+from .errors import ConvergenceError, RobustScatterError
 from .estimators import (
     ScatterEstimate,
     ScatterMatrix,
@@ -38,7 +43,7 @@ from .experiment import (
     weight_deviation_experiment,
 )
 from .master_equation import solve_master
-from .model import load_dataset_csv, sample_covariance, save_matrix_csv, write_text_atomic
+from .model import load_dataset_csv, matrix_csv_text, sample_covariance, write_text_atomic
 from .parallel import blas_report
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
@@ -66,21 +71,35 @@ class _Parser(argparse.ArgumentParser):
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_json(path: str, payload) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_sidecar(out_path: str, command: str, args: argparse.Namespace,
-                   extra: dict, wall_time: float) -> None:
+def _write_sidecar(args: argparse.Namespace, extra: dict, wall_time: float) -> None:
     echo = {k: v for k, v in vars(args).items() if k != "func"}
     payload = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": echo,
         "wall_time_s": wall_time,
     }
     payload.update(extra)
-    _write_json(f"{out_path}.meta.json", payload)
+    payload["blas"] = blas_report()
+    write_text_atomic(f"{args.out}.meta.json", _json_text(payload))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command and write what it returns: the primary text to
+    `args.out` (stdout when there is none) and, with an `args.out`, the
+    sidecar. Any failure is raised before anything is written."""
+    t0 = time.perf_counter()
+    text, extra = args.func(args)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    write_text_atomic(args.out, text)
+    _write_sidecar(args, extra, time.perf_counter() - t0)
+    return 0
 
 
 def _norms_dict(norms) -> dict:
@@ -121,15 +140,16 @@ def estimate_from_dict(doc: dict) -> ScatterEstimate:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_dist_args(sp, with_shape: bool) -> None:
+def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
     sp.add_argument("--dist", choices=sorted(DIST_BY_NAME), default="gaussian",
                     help="sampling distribution family")
     sp.add_argument("--sigma", type=float, default=0.01,
                     help="smoothing level for permuted-smoothed")
     sp.add_argument("--radial", default="constant:1",
                     help="radial law for elliptical: constant:c, chi:k or pareto:a")
-    sp.add_argument("--mean", type=float, default=0.0,
-                    help="constant mean added to every coordinate")
+    if with_mean:
+        sp.add_argument("--mean", type=float, default=0.0,
+                        help="constant mean added to every coordinate")
     if with_shape:
         sp.add_argument("--shape-file", default=None,
                         help="CSV file with the p x p population shape matrix")
@@ -179,32 +199,23 @@ def _solver_cfg(args: argparse.Namespace) -> SolverConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_estimate(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     kind = KIND_BY_NAME[args.kind]
     u = resolve_u(args.u) if kind in ("ME", "MRE") else None
     est = fit(kind, data, u, args.alpha, _solver_cfg(args))
     if not est.converged:
-        _fail("non_convergence",
-              f"{kind} did not converge within {args.max_iter} iterations "
-              f"(residual {est.residual:.3g})")
-        return 2
-    _write_json(args.out, estimate_to_dict(est, data.n))
-    _write_sidecar(args.out, "estimate", args, {}, time.perf_counter() - t0)
-    return 0
+        raise ConvergenceError(f"{kind} did not converge within {args.max_iter} iterations "
+                               f"(residual {est.residual:.3g})")
+    return _json_text(estimate_to_dict(est, data.n)), {}
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args) -> tuple[str, dict]:
     kind = KIND_BY_NAME[args.kind]
     dims = tuple(int(s) for s in args.dims.split(","))
-    spec = _dist_spec(args, dims[0])
-    if spec.mean is not None:
-        raise UsageError("--mean is not supported by simulate (dimension varies)")
     cfg = ExperimentConfig(
         kind=kind,
-        dist=spec,
+        dist=_dist_spec(args, dims[0]),
         dims=dims,
         ratio=args.ratio,
         reps=args.reps,
@@ -224,7 +235,6 @@ def _cmd_simulate(args) -> int:
             f"{r.p},{r.n},{r.linf_mean:.10g},{r.linf_stderr:.10g},"
             f"{r.rmse_mean:.10g},{r.rmse_stderr:.10g}"
         )
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
     extra = {
         "slope_linf": report.slope_linf,
         "intercept_linf": report.intercept_linf,
@@ -233,25 +243,14 @@ def _cmd_simulate(args) -> int:
         "intercept_rmse": report.intercept_rmse,
         "r2_rmse": report.r2_rmse,
         "predicted_weight": report.predicted_weight,
-        "rows": [
-            {
-                "p": r.p, "n": r.n, "w_star": r.w_star,
-                "linf_mean": r.linf_mean, "linf_stderr": r.linf_stderr,
-                "rmse_mean": r.rmse_mean, "rmse_stderr": r.rmse_stderr,
-                "failures": r.failures,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "failures": [r.failures for r in report.rows],
         "experiment_wall_time_s": report.wall_time,
-        "blas": blas_report(),
     }
-    _write_sidecar(args.out, "simulate", args, extra, time.perf_counter() - t0)
-    return 0
+    return "\n".join(lines) + "\n", extra
 
 
-def _cmd_master_eq(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_master_eq(args) -> tuple[str, dict]:
     p = args.p
     if args.n is not None:
         n = args.n
@@ -260,12 +259,7 @@ def _cmd_master_eq(args) -> int:
     else:
         raise UsageError("master-eq needs either --n or --gamma")
     spec = _dist_spec(args, p)
-    shape = spec.shape
-    if shape is not None:
-        spec = DistributionSpec(spec.family, spec.sigma_smooth, spec.radial_law,
-                                spec.mean, None)
-    if spec.mean is not None:
-        raise UsageError("--mean is not supported by master-eq (zero-mean analysis)")
+    shape, spec = spec.shape, replace(spec, shape=None)
     u = resolve_u(args.u) if args.kind == "mre" else None
     res = solve_master(spec, shape, n, p, args.alpha, u=u, reps=args.reps,
                        seed=args.seed, tol_root=args.tol_root)
@@ -287,58 +281,43 @@ def _cmd_master_eq(args) -> int:
         # internal sanity: at the root, Q must equal 1/(1+alpha-gamma)
         payload["q_at_root"] = res.q_star
         payload["tre_identity_gap"] = abs(res.q_star - 1.0 / (1.0 + args.alpha - gamma))
-    if args.out:
-        _write_json(args.out, payload)
-        _write_sidecar(args.out, "master-eq", args, {}, time.perf_counter() - t0)
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+    return _json_text(payload), {}
 
 
-def _cmd_sparse_cov(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sparse_cov(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     est = sparse_cov_estimate(data, args.c1, truth=truth, cfg=_solver_cfg(args))
-    save_matrix_csv(est.matrix, args.out)
     extra = {
         "method": est.method,
         "threshold": est.parameter,
         "input_norms": _norms_dict(est.input_norms),
         "error_vs_truth": _norms_dict(est.error_vs_truth) if est.error_vs_truth else None,
     }
-    _write_sidecar(args.out, "sparse-cov", args, extra, time.perf_counter() - t0)
-    return 0
+    return matrix_csv_text(est.matrix), extra
 
 
-def _cmd_clime(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_clime(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     if args.proxy == "tyler":
         est = tyler(data, _solver_cfg(args))
         if not est.converged:
-            _fail("non_convergence",
-                  f"Tyler proxy did not converge (residual {est.residual:.3g})")
-            return 2
+            raise ConvergenceError(f"Tyler proxy did not converge (residual {est.residual:.3g})")
         proxy = est.matrix
     else:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     out = clime_solve(proxy, args.lam, truth=truth, threads=_resolve_threads(args))
-    save_matrix_csv(out.matrix, args.out)
     extra = {
         "method": out.method,
         "lambda": out.parameter,
         "input_norms": _norms_dict(out.input_norms),
         "error_vs_truth": _norms_dict(out.error_vs_truth) if out.error_vs_truth else None,
-        "blas": blas_report(),
     }
-    _write_sidecar(args.out, "clime", args, extra, time.perf_counter() - t0)
-    return 0
+    return matrix_csv_text(out.matrix), extra
 
 
-def _cmd_diagnose(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_diagnose(args) -> tuple[str, dict]:
     if args.input:
         data = load_dataset_csv(args.input)
     else:
@@ -359,16 +338,7 @@ def _cmd_diagnose(args) -> int:
         }
     else:
         payload["quadratic_forms"] = None
-    if args.out:
-        _write_json(args.out, payload)
-        _write_sidecar(args.out, "diagnose", args, {}, time.perf_counter() - t0)
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
-
-
-def _fail(code: str, message: str) -> None:
-    print(json.dumps({"error": {"code": code, "message": message}}))
+    return _json_text(payload), {}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +426,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("diagnose", formatter_class=fmt,
                         help="quadratic-form, Stieltjes and eigenvalue diagnostics")
     sp.add_argument("--input", default=None, help="dataset CSV (else synthetic draw)")
-    _add_dist_args(sp, with_shape=True)
+    _add_dist_args(sp, with_shape=True, with_mean=True)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="required for synthetic draws")
@@ -467,15 +437,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(code: str, message: str) -> None:
+    print(json.dumps({"error": {"code": code, "message": message}}))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _run(parser.parse_args(argv))
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RobustScatterError as exc:

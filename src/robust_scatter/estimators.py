@@ -11,6 +11,8 @@ TE    1 / d_i         same, then rescaled to trace p
 MRE   u(d_i)          (1/n) sum_i w_i x_i x_i^T / (1+a) + a/(1+a) * I
 TRE   1 / d_i         same shrunk update
 
+The Tyler kinds are the Maronna template with u = ``tyler_u()``.
+
 All four are solved by plain Picard iteration from the identity (or a
 caller-supplied SPD start), with the iterate re-symmetrized after every
 step. The iteration stops once both the relative Frobenius change between
@@ -32,6 +34,7 @@ from .errors import ExistenceError
 from .model import Dataset, ScatterMatrix
 
 __all__ = [
+    "KINDS",
     "UFunction",
     "rational_u",
     "huber_u",
@@ -52,6 +55,8 @@ __all__ = [
     "fixed_point_residual",
     "quad_forms",
 ]
+
+KINDS = ("TE", "ME", "TRE", "MRE")
 
 _ZERO_ROW_RTOL = 1e-14
 
@@ -239,12 +244,6 @@ def _check_rows(x: np.ndarray, reject_zero: bool) -> None:
         )
 
 
-def _weights_for(kind: str, d: np.ndarray, u: Optional[UFunction]) -> np.ndarray:
-    if kind in ("TE", "TRE"):
-        return 1.0 / d
-    return np.asarray(u.u(d), dtype=float)
-
-
 def _defining_rhs(kind: str, x: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     raw = _weighted_cov(x, w)
     if kind in ("MRE", "TRE"):
@@ -256,6 +255,7 @@ def _defining_rhs(kind: str, x: np.ndarray, w: np.ndarray, alpha: float) -> np.n
 def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
            cfg: Optional[SolverConfig]) -> ScatterEstimate:
     cfg = cfg or SolverConfig()
+    weigh = (tyler_u() if kind in ("TE", "TRE") else u).u
     x = np.ascontiguousarray(data.samples)
     n, p = x.shape
 
@@ -275,7 +275,7 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     try:
         while True:
             d = quad_forms(x, sigma)
-            w = _weights_for(kind, d, u)
+            w = np.asarray(weigh(d), dtype=float)
             rhs = _defining_rhs(kind, x, w, alpha)
             residual = _relfrob(sigma - rhs, sigma)
             if residual <= cfg.tol and last_delta <= cfg.tol:
@@ -358,12 +358,12 @@ def fit(kind: str, data: Dataset, u: Optional[UFunction] = None, alpha: float = 
 
     `u` is read by ME and MRE, `alpha` by TRE and MRE; other kinds ignore them.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
     if kind == "TE":
         return tyler(data, cfg)
     if kind == "TRE":
         return tyler_regularized(data, alpha, cfg)
-    if kind not in ("ME", "MRE"):
-        raise ValueError(f"unknown estimator kind {kind!r}")
     if u is None:
         raise ValueError(f"kind {kind} needs a u function")
     if kind == "ME":
@@ -425,9 +425,11 @@ def check_te_existence(data: Dataset) -> bool:
 def weights_from_matrix(kind: str, data: Dataset, matrix: ScatterMatrix,
                         u: Optional[UFunction] = None) -> np.ndarray:
     """Weights the defining equation of `kind` assigns to `matrix` on `data`."""
-    if kind not in ("TE", "TRE") and u is None:
+    if kind in ("TE", "TRE"):
+        u = tyler_u()
+    elif u is None:
         raise ValueError(f"kind {kind} needs a u function to recompute weights")
-    return _weights_for(kind, quad_forms(data.samples, matrix.entries), u)
+    return np.asarray(u.u(quad_forms(data.samples, matrix.entries)), dtype=float)
 
 
 def fixed_point_residual(est: ScatterEstimate, data: Dataset) -> float:

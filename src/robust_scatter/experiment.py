@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .estimators import SolverConfig, UFunction, fit, quad_forms
+from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms
 from .master_equation import predicted_weight, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units
@@ -34,8 +34,6 @@ __all__ = [
     "stieltjes_diag",
     "eigen_bounds_diag",
 ]
-
-KINDS = ("TE", "ME", "TRE", "MRE")
 
 
 @dataclass(frozen=True)

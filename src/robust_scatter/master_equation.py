@@ -218,17 +218,13 @@ def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
     else:  # pragma: no cover - 200 halvings always reach the width condition
         raise ConvergenceError("master-equation bisection failed to terminate")
 
-    if kind == "TRE":
-        w_star = 1.0 / mid
-    else:
-        w_star = float(ufun.u(np.asarray(mid, dtype=float)))
     return MasterEquationResult(
         d_star=float(mid),
         bracket=(float(lo), float(hi)),
         f_residual=float(abs(f_mid - 1.0)),
         mc_reps=reps,
         mc_stderr=se_mid,
-        predicted_weight=w_star,
+        predicted_weight=float(ufun.u(np.asarray(mid, dtype=float))),
         kind=kind,
         q_star=q_mid,
     )
@@ -239,7 +235,8 @@ def predicted_weight(kind: str, u: Optional[UFunction] = None,
                      tau_p: Optional[float] = None) -> float:
     """Limiting weight for each estimator kind.
 
-    TE: 1/tau_p;  ME: 1/phi^{-1}(1);  MRE: u(d*);  TRE: 1/d*.
+    TE: 1/tau_p;  ME: 1/phi^{-1}(1);  MRE: u(d*);  TRE: 1/d*, the MRE rule
+    with u = ``tyler_u()``.
     """
     kind = kind.upper()
     if kind == "TE":
@@ -250,12 +247,9 @@ def predicted_weight(kind: str, u: Optional[UFunction] = None,
         if u is None or u.d0 is None:
             raise ValueError("ME prediction needs a u function with a unit crossing d0")
         return 1.0 / u.d0
-    if kind == "MRE":
+    if kind in ("TRE", "MRE"):
+        u = tyler_u() if kind == "TRE" else u
         if u is None or d_star is None:
-            raise ValueError("MRE prediction needs both u and d_star")
+            raise ValueError(f"{kind} prediction needs d_star (and u for MRE)")
         return float(u.u(np.asarray(d_star, dtype=float)))
-    if kind == "TRE":
-        if d_star is None:
-            raise ValueError("TRE prediction needs d_star")
-        return 1.0 / d_star
     raise ValueError(f"unknown estimator kind {kind!r}")

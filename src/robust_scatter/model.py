@@ -24,6 +24,7 @@ __all__ = [
     "leave_one_out_covariance",
     "matrix_norms",
     "load_dataset_csv",
+    "matrix_csv_text",
     "save_matrix_csv",
     "write_text_atomic",
 ]
@@ -202,9 +203,12 @@ def write_text_atomic(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save_matrix_csv(m: np.ndarray, path, digits: int = 10) -> None:
-    """Write a matrix in the dataset CSV format with `digits` significant
-    digits, atomically (see `write_text_atomic`)."""
+def matrix_csv_text(m: np.ndarray, digits: int = 10) -> str:
+    """A matrix in the dataset CSV format with `digits` significant digits."""
     rows = np.atleast_2d(np.asarray(m, dtype=float))
-    write_text_atomic(path, "".join(",".join(f"{v:.{digits}g}" for v in row) + "\n"
-                                    for row in rows))
+    return "".join(",".join(f"{v:.{digits}g}" for v in row) + "\n" for row in rows)
+
+
+def save_matrix_csv(m: np.ndarray, path, digits: int = 10) -> None:
+    """Write `matrix_csv_text(m, digits)` atomically (see `write_text_atomic`)."""
+    write_text_atomic(path, matrix_csv_text(m, digits))

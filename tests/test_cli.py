@@ -146,46 +146,83 @@ class TestSparsePipelines:
         side = json.loads((tmp_path / "om.csv.meta.json").read_text())
         assert side["method"] == "clime" and side["lambda"] == 0.3
 
+    def test_clime_tyler_proxy_non_convergence_exits_2(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "om.csv"
+        rc = run("clime", "--input", data_csv, "--lambda", "0.3", "--proxy", "tyler",
+                 "--max-iter", "1", "--out", out)
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "non_convergence"
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
 
 SIMULATE_SMALL = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",
                   "--reps", "2", "--seed", "4")
+WORKER_COMMANDS = ("simulate", "clime")
+
+
+def _commands(data_csv, tmp_path):
+    """A small run of every command, each ending in ``--out <path>``."""
+    return {
+        "estimate": ("estimate", "--kind", "tyler", "--input", data_csv,
+                     "--out", tmp_path / "est.json"),
+        "simulate": (*SIMULATE_SMALL, "--out", tmp_path / "fig.csv"),
+        "master-eq": ("master-eq", "--kind", "tre", "--alpha", "1", "--gamma", "0.5",
+                      "--p", "20", "--reps", "20", "--seed", "3",
+                      "--out", tmp_path / "meq.json"),
+        "sparse-cov": ("sparse-cov", "--input", data_csv, "--c1", "0.5",
+                       "--out", tmp_path / "sp.csv"),
+        "clime": ("clime", "--input", data_csv, "--lambda", "0.3",
+                  "--out", tmp_path / "om.csv"),
+        "diagnose": ("diagnose", "--input", data_csv, "--out", tmp_path / "diag.json"),
+    }
+
+
+@pytest.mark.parametrize("command", ["master-eq", "diagnose"])
+def test_stdout_is_the_out_file(command, data_csv, tmp_path, capsys):
+    args = _commands(data_csv, tmp_path)[command]
+    assert run(*args) == 0
+    capsys.readouterr()
+    assert run(*args[:-2]) == 0
+    assert capsys.readouterr().out.encode() == Path(args[-1]).read_bytes()
+
+
+@pytest.mark.parametrize("command,rc", [("simulate", 1), ("master-eq", 1), ("diagnose", 0)])
+def test_mean_only_on_diagnose(command, rc, data_csv, tmp_path, capsys):
+    args = _commands(data_csv, tmp_path)[command]
+    assert run(*args, "--mean", "1") == rc
+    assert ("unrecognized arguments: --mean 1" in capsys.readouterr().err) == (rc == 1)
 
 
 class TestThreads:
     """One worker-count check for every command that runs a worker map."""
 
-    @staticmethod
-    def _commands(data_csv, tmp_path):
-        return {
-            "simulate": (*SIMULATE_SMALL, "--out", tmp_path / "fig.csv"),
-            "clime": ("clime", "--input", data_csv, "--lambda", "0.3",
-                      "--out", tmp_path / "om.csv"),
-        }
-
-    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    @pytest.mark.parametrize("command", WORKER_COMMANDS)
     def test_flag_below_one_exits_1(self, command, data_csv, tmp_path, capsys):
-        args = self._commands(data_csv, tmp_path)[command]
+        args = _commands(data_csv, tmp_path)[command]
         assert run(*args, "--threads", "0") == 1
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not Path(args[-1]).exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    @pytest.mark.parametrize("command", WORKER_COMMANDS)
     def test_environment_below_one_exits_1(self, command, data_csv, tmp_path, capsys,
                                            monkeypatch):
         monkeypatch.setenv("ROBUST_SCATTER_THREADS", "-2")
-        args = self._commands(data_csv, tmp_path)[command]
+        args = _commands(data_csv, tmp_path)[command]
         assert run(*args) == 1
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not Path(args[-1]).exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "clime"])
+    # every command's sidecar has a `blas` list; the worker commands also
+    # echo the worker count that ran
+    @pytest.mark.parametrize("command", [*WORKER_COMMANDS, "estimate", "master-eq",
+                                         "sparse-cov", "diagnose"])
     def test_sidecar_records_resolved_threads_and_blas(self, command, data_csv, tmp_path,
                                                        monkeypatch):
         monkeypatch.setenv("ROBUST_SCATTER_THREADS", "2")
-        args = self._commands(data_csv, tmp_path)[command]
+        args = _commands(data_csv, tmp_path)[command]
         assert run(*args) == 0
         side = json.loads(Path(f"{args[-1]}.meta.json").read_text())
-        assert side["config"]["threads"] == 2
+        assert side["config"].get("threads") == (2 if command in WORKER_COMMANDS else None)
         assert isinstance(side["blas"], list)
         for entry in side["blas"]:
             assert set(entry) == {"library", "threads", "in_loops"}

@@ -16,6 +16,7 @@ from robust_scatter import (
     make_ufunction,
     maronna,
     maronna_regularized,
+    predicted_weight,
     rational_u,
     sample,
     tyler,
@@ -253,6 +254,16 @@ class TestFit:
             fit("XE", data)
         with pytest.raises(ValueError):
             fit("MRE", data, alpha=1.0)
+
+    def test_tyler_kinds_are_the_maronna_template_with_tyler_u(self):
+        data = sample(DistributionSpec("laplace-iid"), 80, 20, seed=14)
+        tre = tyler_regularized(data, 0.5)
+        mre = maronna_regularized(data, tyler_u(), 0.5)
+        assert np.array_equal(tre.matrix.entries, mre.matrix.entries)
+        assert np.array_equal(tre.weights, mre.weights)
+        for d_star in (0.3, 0.75, 1.9):
+            assert (predicted_weight("TRE", d_star=d_star)
+                    == predicted_weight("MRE", u=tyler_u(), d_star=d_star))
 
 
 class TestInterferenceFunction:

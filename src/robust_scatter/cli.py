@@ -58,6 +58,11 @@ DIST_BY_NAME = {
 }
 
 
+# sampling flags (argparse dest -> default); `diagnose` reads them only for synthetic draws
+_DIST_DEFAULTS = {"dist": "gaussian", "sigma": 0.01, "radial": "constant:1", "mean": 0.0,
+                  "shape_file": None}
+
+
 class UsageError(Exception):
     pass
 
@@ -141,17 +146,17 @@ def estimate_from_dict(doc: dict) -> ScatterEstimate:
 # ---------------------------------------------------------------------------
 
 def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
-    sp.add_argument("--dist", choices=sorted(DIST_BY_NAME), default="gaussian",
+    sp.add_argument("--dist", choices=sorted(DIST_BY_NAME), default=_DIST_DEFAULTS["dist"],
                     help="sampling distribution family")
-    sp.add_argument("--sigma", type=float, default=0.01,
+    sp.add_argument("--sigma", type=float, default=_DIST_DEFAULTS["sigma"],
                     help="smoothing level for permuted-smoothed")
-    sp.add_argument("--radial", default="constant:1",
+    sp.add_argument("--radial", default=_DIST_DEFAULTS["radial"],
                     help="radial law for elliptical: constant:c, chi:k or pareto:a")
     if with_mean:
-        sp.add_argument("--mean", type=float, default=0.0,
+        sp.add_argument("--mean", type=float, default=_DIST_DEFAULTS["mean"],
                         help="constant mean added to every coordinate")
     if with_shape:
-        sp.add_argument("--shape-file", default=None,
+        sp.add_argument("--shape-file", default=_DIST_DEFAULTS["shape_file"],
                         help="CSV file with the p x p population shape matrix")
 
 
@@ -319,8 +324,15 @@ def _cmd_clime(args) -> tuple[str, dict]:
 
 def _cmd_diagnose(args) -> tuple[str, dict]:
     if args.input:
+        given = [f"--{key.replace('_', '-')}" for key in _DIST_DEFAULTS
+                 if getattr(args, key) is not None]
+        if given:
+            raise UsageError(f"diagnose --input does not sample; drop {', '.join(given)}")
         data = load_dataset_csv(args.input)
     else:
+        for key, default in _DIST_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
         if args.p is None or args.n is None or args.seed is None:
             raise UsageError("diagnose needs --input, or --p/--n/--seed for synthetic data")
         data = sample(_dist_spec(args, args.p), args.n, args.p, args.seed)
@@ -425,8 +437,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("diagnose", formatter_class=fmt,
                         help="quadratic-form, Stieltjes and eigenvalue diagnostics")
-    sp.add_argument("--input", default=None, help="dataset CSV (else synthetic draw)")
+    sp.add_argument("--input", default=None,
+                    help="dataset CSV (else a synthetic draw, the only use of the sampling flags)")
     _add_dist_args(sp, with_shape=True, with_mean=True)
+    sp.set_defaults(**dict.fromkeys(_DIST_DEFAULTS))  # None marks a flag as not given
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="required for synthetic draws")

@@ -13,19 +13,26 @@ TRE   1 / d_i         same shrunk update
 
 The Tyler kinds are the Maronna template with u = ``tyler_u()``.
 
-All four are solved by plain Picard iteration from the identity (or a
-caller-supplied SPD start), with the iterate re-symmetrized after every
-step. The iteration stops once both the relative Frobenius change between
-iterates and the relative residual of the defining equation fall below the
-tolerance; non-convergence is reported through the ``converged`` flag
-rather than an exception.
+All four are solved in d-space. Sigma(d) is the update above at weights
+u(d), rescaled for TE and symmetrized, and the map is d -> quad_forms(x,
+Sigma(d)); d is a fixed point iff Sigma(d) solves the estimator equation.
+The solver iterates y = log d from the forms at the identity (or a
+caller-supplied SPD start), mixing each step over the last few map values
+by Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011). A mixed
+step that raises the RMS log-residual is replaced by the plain step from
+the last accepted point, and the history is cleared. Zero samples (legal
+for ME/MRE) keep d = 0 outside the mixing. Once the RMS log-residual is
+below the tolerance, the relative defining-equation residual is computed
+at Sigma(d), and ``converged`` means it is below the tolerance too.
+``iterations`` counts map evaluations. Non-convergence is reported through
+the ``converged`` flag rather than an exception.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -59,6 +66,9 @@ __all__ = [
 KINDS = ("TE", "ME", "TRE", "MRE")
 
 _ZERO_ROW_RTOL = 1e-14
+
+# Anderson mixing keeps the differences of this many past map evaluations
+_WINDOW = 5
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +215,9 @@ class SolverConfig:
 class ScatterEstimate:
     """Solver output: the SPD estimate plus the per-sample weights and
     convergence diagnostics. ``residual`` is the relative Frobenius residual
-    of the defining fixed-point equation at ``matrix``. ``u`` is the weight
-    function for ME/MRE (None for the Tyler kinds)."""
+    of the defining fixed-point equation at ``matrix``; ``iterations`` counts
+    the solver's map evaluations. ``u`` is the weight function for ME/MRE
+    (None for the Tyler kinds)."""
 
     matrix: ScatterMatrix
     weights: np.ndarray
@@ -252,6 +263,31 @@ def _defining_rhs(kind: str, x: np.ndarray, w: np.ndarray, alpha: float) -> np.n
     return raw
 
 
+def _d_map(kind: str, x: np.ndarray, d: np.ndarray, weigh: Callable,
+           alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One step of the fixed-point map in d-space.
+
+    Returns Sigma(d), the right side of the defining equation at weights
+    u(d) (rescaled to trace p for TE, symmetrized), and the quadratic forms
+    at it. d solves the estimator equation iff the forms equal d.
+    """
+    sigma = _defining_rhs(kind, x, np.asarray(weigh(d), dtype=float), alpha)
+    if kind == "TE":
+        sigma *= x.shape[1] / np.trace(sigma)
+    sigma = (sigma + sigma.T) / 2.0
+    return sigma, quad_forms(x, sigma)
+
+
+class _Point(NamedTuple):
+    """One evaluation of the d-space map at d = e^y (y over the nonzero rows)."""
+
+    y: np.ndarray
+    sigma: np.ndarray  # Sigma(d)
+    forms: np.ndarray  # quadratic forms at sigma, every row
+    g: np.ndarray  # their logs over the nonzero rows: the map's value at y
+    rms: float  # RMS log-residual of g - y
+
+
 def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
            cfg: Optional[SolverConfig]) -> ScatterEstimate:
     cfg = cfg or SolverConfig()
@@ -263,45 +299,69 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
         if cfg.init.p != p:
             raise ValueError(f"init matrix is {cfg.init.p}x{cfg.init.p}, expected p={p}")
         cfg.init.require_spd("init matrix")
-        sigma = np.array(cfg.init.entries, copy=True)
+        start = cfg.init.entries
     else:
-        sigma = np.eye(p)
+        start = np.eye(p)
+    d0 = quad_forms(x, start)
+    live = d0 > 0  # zero samples (legal for ME/MRE) keep d = 0 outside the mixing
 
-    last_delta = math.inf
+    evals = 0
+
+    def step(y: np.ndarray) -> _Point:
+        nonlocal evals
+        evals += 1
+        d = np.zeros(n)
+        d[live] = np.exp(y)
+        sigma, forms = _d_map(kind, x, d, weigh, alpha)
+        g = np.log(forms[live])
+        return _Point(y, sigma, forms, g, np.linalg.norm(g - y) / math.sqrt(max(g.size, 1)))
+
+    def defining_residual(pt: _Point) -> float:
+        rhs = _defining_rhs(kind, x, np.asarray(weigh(pt.forms), dtype=float), alpha)
+        return _relfrob(pt.sigma - rhs, pt.sigma)
+
     converged = False
-    updates = 0
-    w = np.empty(n)
-    residual = math.inf
     try:
+        pt = step(np.log(d0[live]))
+        df: list = []  # Anderson history: differences of the residuals g - y
+        dg: list = []  # and of the map values g between accepted points
         while True:
-            d = quad_forms(x, sigma)
-            w = np.asarray(weigh(d), dtype=float)
-            rhs = _defining_rhs(kind, x, w, alpha)
-            residual = _relfrob(sigma - rhs, sigma)
-            if residual <= cfg.tol and last_delta <= cfg.tol:
-                converged = True
+            if pt.rms <= cfg.tol:
+                residual = defining_residual(pt)
+                if residual <= cfg.tol:
+                    converged = True
+                    break
+            if evals >= cfg.max_iter:
                 break
-            if updates >= cfg.max_iter:
-                break
-            nxt = rhs
-            if kind == "TE":
-                nxt = p * nxt / np.trace(nxt)
-            nxt = (nxt + nxt.T) / 2.0
-            last_delta = _relfrob(nxt - sigma, sigma)
-            sigma = nxt
-            updates += 1
+            if df:
+                gamma = np.linalg.lstsq(np.column_stack(df), pt.g - pt.y, rcond=None)[0]
+                nxt = step(pt.g - np.column_stack(dg) @ gamma)
+                if not nxt.rms <= pt.rms:  # mixing did not help: plain step from pt
+                    df.clear()
+                    dg.clear()
+                    if evals >= cfg.max_iter:
+                        break
+                    nxt = step(pt.g)
+            else:
+                nxt = step(pt.g)
+            df.append((nxt.g - nxt.y) - (pt.g - pt.y))
+            dg.append(nxt.g - pt.g)
+            del df[:-_WINDOW], dg[:-_WINDOW]
+            pt = nxt
     except np.linalg.LinAlgError as exc:
         raise ExistenceError(
             f"{kind} iteration hit a non-SPD weighted covariance "
             "(data may be rank deficient or the existence condition fails)"
         ) from exc
+    if not converged:
+        residual = defining_residual(pt)
 
     return ScatterEstimate(
-        matrix=ScatterMatrix(sigma),
-        weights=w,
+        matrix=ScatterMatrix(pt.sigma),
+        weights=np.asarray(weigh(pt.forms), dtype=float),
         kind=kind,
         alpha=float(alpha),
-        iterations=updates,
+        iterations=evals,
         residual=residual,
         converged=converged,
         u=u,
@@ -379,7 +439,8 @@ def interference_h(d: np.ndarray, data: Dataset, u: UFunction) -> np.ndarray:
     """h_j(d) = p^{-1} x_j^T ((1/n) sum_i u(d_i) x_i x_i^T)^{-1} x_j.
 
     The Maronna fixed point in d-space: d solves the estimator equation iff
-    h(d) = d. Positive, componentwise monotone and scalable in d.
+    h(d) = d. This is the map the ME solver iterates (``_d_map``). Positive,
+    componentwise monotone and scalable in d.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (data.n,):
@@ -388,10 +449,7 @@ def interference_h(d: np.ndarray, data: Dataset, u: UFunction) -> np.ndarray:
         raise ValueError("d must be strictly positive componentwise")
     if data.n <= data.p:
         raise ValueError("interference function needs n > p")
-    x = data.samples
-    w = np.asarray(u.u(d), dtype=float)
-    cov = _weighted_cov(x, w)
-    return quad_forms(x, cov)
+    return _d_map("ME", data.samples, d, u.u, 0.0)[1]
 
 
 def tyler_objective(w: np.ndarray, data: Dataset) -> float:

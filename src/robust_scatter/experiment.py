@@ -81,6 +81,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DimResult:
+    """Deviation statistics at one dimension; the iteration fields count the
+    solver's map evaluations over the converged replicates."""
+
     p: int
     n: int
     w_star: float
@@ -89,6 +92,8 @@ class DimResult:
     rmse_mean: float
     rmse_stderr: float
     failures: int
+    iterations_mean: float
+    iterations_max: int
 
 
 @dataclass(frozen=True)
@@ -136,13 +141,14 @@ def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int, n: int) -> floa
 
 def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
                w_star: float):
-    """Deviations for one seeded replicate, or None when the solve fails."""
+    """(linf, rmse, map evaluations) for one seeded replicate, or None when
+    the solve fails."""
     seed = derive_seed(cfg.base_seed, dim_index, rep)
     data = sample(cfg.dist, n, p, seed)
     est = fit(cfg.kind, data, cfg.u, cfg.alpha, SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter))
     if not est.converged:
         return None
-    return weight_deviations(est.weights, w_star)
+    return (*weight_deviations(est.weights, w_star), est.iterations)
 
 
 def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -170,6 +176,7 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         linf = np.array([r[0] for r in ok])
         rmse = np.array([r[1] for r in ok])
+        iterations = [r[2] for r in ok]
 
         def _stderr(v: np.ndarray) -> float:
             if v.size <= 1:
@@ -181,6 +188,7 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             linf_mean=float(linf.mean()), linf_stderr=_stderr(linf),
             rmse_mean=float(rmse.mean()), rmse_stderr=_stderr(rmse),
             failures=failures,
+            iterations_mean=float(np.mean(iterations)), iterations_max=max(iterations),
         ))
 
     if len(rows) >= 2:

@@ -91,6 +91,11 @@ class TestSimulate:
             assert key in side
         assert [r["p"] for r in side["rows"]] == [16, 32]
         assert side["rows"][0]["n"] == 32 and "linf_mean" in side["rows"][0]
+        assert list(side["rows"][0]) == ["p", "n", "w_star", "linf_mean", "linf_stderr",
+                                         "rmse_mean", "rmse_stderr", "failures",
+                                         "iterations_mean", "iterations_max"]
+        assert all(1 <= r["iterations_mean"] <= r["iterations_max"] <= 500
+                   for r in side["rows"])
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         args = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",
@@ -189,6 +194,8 @@ def test_stdout_is_the_out_file(command, data_csv, tmp_path, capsys):
 @pytest.mark.parametrize("command,rc", [("simulate", 1), ("master-eq", 1), ("diagnose", 0)])
 def test_mean_only_on_diagnose(command, rc, data_csv, tmp_path, capsys):
     args = _commands(data_csv, tmp_path)[command]
+    if command == "diagnose":  # --mean is a sampling flag, read by synthetic draws alone
+        args = ("diagnose", "--p", "10", "--n", "30", "--seed", "1", *args[-2:])
     assert run(*args, "--mean", "1") == rc
     assert ("unrecognized arguments: --mean 1" in capsys.readouterr().err) == (rc == 1)
 
@@ -250,6 +257,19 @@ def test_blas_threads_do_not_change_simulate_output(tmp_path):
 
 
 class TestDiagnose:
+    @pytest.mark.parametrize("flags", [
+        ("--dist", "elliptical"), ("--sigma", "0.1"), ("--radial", "pareto:3"),
+        ("--mean", "5"), ("--shape-file", "missing.csv"),
+        ("--dist", "elliptical", "--radial", "pareto:3", "--mean", "5",
+         "--shape-file", "missing.csv"),
+    ])
+    def test_input_rejects_sampling_flags(self, flags, data_csv, tmp_path, capsys):
+        args = _commands(data_csv, tmp_path)["diagnose"]
+        assert run(*args, *flags) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags[::2])
+        assert not Path(args[-1]).exists()
+
     def test_synthetic_report(self, capsys):
         rc = run("diagnose", "--dist", "gaussian", "--p", "20", "--n", "60", "--seed", "1")
         assert rc == 0

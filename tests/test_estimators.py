@@ -5,6 +5,7 @@ from robust_scatter import (
     Dataset,
     DistributionSpec,
     ExistenceError,
+    RadialLaw,
     ScatterMatrix,
     SolverConfig,
     apply_shape,
@@ -25,7 +26,28 @@ from robust_scatter import (
     tyler_u,
     weights_from_matrix,
 )
+import robust_scatter.estimators as estimators
 from robust_scatter.estimators import quad_forms
+
+
+def picard_oracle(kind, x, u=None, alpha=0.0, tol=1e-13, max_iter=5000):
+    """Plain Picard iteration on Sigma from the identity in plain numpy, stopped
+    once the relative change between iterates is below `tol`: (Sigma, updates)."""
+    n, p = x.shape
+    sig = np.eye(p)
+    for it in range(1, max_iter + 1):
+        d = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sig), x) / p
+        w = 1.0 / d if kind in ("TE", "TRE") else u.u(d)
+        nxt = x.T @ (x * w[:, None]) / n
+        if kind in ("TRE", "MRE"):
+            nxt = nxt / (1 + alpha) + alpha / (1 + alpha) * np.eye(p)
+        if kind == "TE":
+            nxt = p * nxt / np.trace(nxt)
+        change = np.linalg.norm(nxt - sig) / np.linalg.norm(sig)
+        sig = nxt
+        if change < tol:
+            return sig, it
+    raise AssertionError(f"{kind} Picard oracle did not settle in {max_iter} updates")
 
 
 def bisect_root(f, lo, hi, tol=1e-12):
@@ -408,6 +430,73 @@ class TestDiagnostics:
             alpha=0.0, iterations=0, residual=0.0, converged=False,
         )
         assert fixed_point_residual(fake, data) > 1e-3
+
+
+ELLIPTICAL_PARETO = DistributionSpec("elliptical", radial_law=RadialLaw("pareto", 3.0))
+
+
+class TestSolver:
+    """The Anderson-mixed d-space iteration behind all four solvers."""
+
+    @pytest.mark.parametrize("kind", ["ME", "TRE", "MRE"])
+    def test_agrees_with_plain_picard_oracle(self, kind):
+        data = sample(DistributionSpec("gaussian"), 40, 5, seed=3)
+        u = rational_u()
+        est = fit(kind, data, u, 0.5, SolverConfig(tol=1e-12))
+        sig, _ = picard_oracle(kind, data.samples, u, 0.5)
+        np.testing.assert_allclose(est.matrix.entries, sig, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
+    @pytest.mark.parametrize("spec", [DistributionSpec("gaussian"),
+                                      DistributionSpec("laplace-iid"), ELLIPTICAL_PARETO],
+                             ids=["gaussian", "laplace-iid", "elliptical-pareto3"])
+    def test_converged_means_defining_residual_within_tol(self, kind, spec):
+        data = sample(spec, 120, 30, seed=24)
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((30, 30))
+        init = ScatterMatrix(a @ a.T + 0.5 * np.eye(30))
+        for cfg in (SolverConfig(), SolverConfig(tol=1e-9, init=init)):
+            est = fit(kind, data, rational_u(), 0.7, cfg)
+            assert est.converged
+            assert fixed_point_residual(est, data) <= cfg.tol
+            assert est.iterations <= cfg.max_iter
+
+    @pytest.mark.parametrize("kind", ["ME", "MRE"])
+    def test_zero_row_converges_with_weight_u0(self, kind):
+        x = sample(DistributionSpec("laplace-iid"), 60, 8, seed=26).samples.copy()
+        x[[5, 17]] = 0.0
+        data = Dataset(x)
+        u = rational_u()
+        est = fit(kind, data, u, 1.0)
+        assert est.converged
+        assert fixed_point_residual(est, data) <= 1e-10
+        np.testing.assert_array_equal(est.weights[[5, 17]], u.u(np.zeros(2)))
+        sig, _ = picard_oracle(kind, x, u, 1.0)
+        np.testing.assert_allclose(est.matrix.entries, sig, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
+    @pytest.mark.parametrize("max_iter", [2, 7, 500])
+    def test_quad_forms_called_once_per_iteration_plus_one(self, kind, max_iter, monkeypatch):
+        calls = []
+
+        def counted(x, sigma):
+            calls.append(1)
+            return quad_forms(x, sigma)
+
+        monkeypatch.setattr(estimators, "quad_forms", counted)
+        data = sample(DistributionSpec("laplace-iid"), 80, 20, seed=27)
+        est = fit(kind, data, rational_u(), 0.5, SolverConfig(max_iter=max_iter))
+        assert len(calls) == est.iterations + 1
+        assert est.iterations <= max_iter
+        assert est.converged == (max_iter == 500)
+
+    def test_uses_at_most_half_the_picard_evaluations(self):
+        # a count guard on the acceleration itself, against the plain iteration
+        data = sample(DistributionSpec("laplace-iid"), 256, 128, seed=28)
+        est = tyler(data)
+        assert est.converged
+        _, picard_updates = picard_oracle("TE", data.samples, tol=1e-10)
+        assert est.iterations <= picard_updates / 2
 
 
 class TestExistenceCheck:

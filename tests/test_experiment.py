@@ -6,12 +6,14 @@ from robust_scatter import (
     Dataset,
     DistributionSpec,
     ExperimentConfig,
+    derive_seed,
     eigen_bounds_diag,
     fit_loglog_slope,
     quadratic_form_diagnostics,
     rational_u,
     sample,
     stieltjes_diag,
+    tyler,
     weight_deviation_experiment,
     weight_deviations,
 )
@@ -78,6 +80,15 @@ class TestWeightDeviationExperiment:
         rep = weight_deviation_experiment(cfg)
         assert rep.rows[1].linf_mean < rep.rows[0].linf_mean
         assert rep.rows[1].rmse_mean < rep.rows[0].rmse_mean
+
+    def test_rows_report_solver_iterations(self):
+        cfg = ExperimentConfig(kind="TE", dist=GAUSS, dims=(16, 32), reps=3, base_seed=8)
+        rep = weight_deviation_experiment(cfg)
+        for k, row in enumerate(rep.rows):
+            counts = [tyler(sample(GAUSS, row.n, row.p, derive_seed(8, k, r))).iterations
+                      for r in range(3)]
+            assert row.iterations_mean == pytest.approx(np.mean(counts), rel=1e-15)
+            assert row.iterations_max == max(counts)
 
     def test_failures_abort(self):
         cfg = ExperimentConfig(kind="TE", dist=GAUSS, dims=(16,), reps=3,

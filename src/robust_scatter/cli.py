@@ -249,7 +249,6 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         "r2_rmse": report.r2_rmse,
         "predicted_weight": report.predicted_weight,
         "rows": [asdict(r) for r in report.rows],
-        "failures": [r.failures for r in report.rows],
         "experiment_wall_time_s": report.wall_time,
     }
     return "\n".join(lines) + "\n", extra

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms
-from .master_equation import predicted_weight, solve_master
+from .master_equation import MasterEquationResult, predicted_weight, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample
@@ -82,7 +82,10 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class DimResult:
     """Deviation statistics at one dimension; the iteration fields count the
-    solver's map evaluations over the converged replicates."""
+    solver's map evaluations over the converged replicates. ``mc_stderr`` is
+    the Monte-Carlo standard error of Q at the master-equation root (None
+    for TE and ME, whose limits are closed-form) and ``master_eq_s`` the wall
+    seconds spent on the limit weight."""
 
     p: int
     n: int
@@ -94,6 +97,8 @@ class DimResult:
     failures: int
     iterations_mean: float
     iterations_max: int
+    mc_stderr: Optional[float]
+    master_eq_s: float = field(compare=False)  # a timing, not part of the result
 
 
 @dataclass(frozen=True)
@@ -124,19 +129,19 @@ def weight_deviations(weights: np.ndarray, w_star: float) -> Tuple[float, float]
     return float(dev.max()), float(np.sqrt(np.mean(dev * dev)))
 
 
-def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int, n: int) -> float:
-    if cfg.kind == "TE":
-        return predicted_weight("TE", tau_p=1.0)
-    if cfg.kind == "ME":
-        return predicted_weight("ME", u=cfg.u)
-    res = solve_master(
+def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int,
+                  n: int) -> Optional[MasterEquationResult]:
+    """The master-equation solve behind the TRE/MRE limit weight; None for
+    TE and ME, whose limits are closed-form."""
+    if cfg.kind in ("TE", "ME"):
+        return None
+    return solve_master(
         cfg.dist, None, n, p, cfg.alpha,
         u=cfg.u if cfg.kind == "MRE" else None,
         reps=cfg.mc_reps,
         seed=derive_seed(cfg.base_seed, dim_index, cfg.reps),
         tol_root=cfg.tol_root,
     )
-    return res.predicted_weight
 
 
 def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
@@ -163,7 +168,11 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for k, p in enumerate(cfg.dims):
         n = cfg.ratio * p
-        w_star = _limit_weight(cfg, k, p, n)
+        t_master = time.perf_counter()
+        master = _limit_weight(cfg, k, p, n)
+        w_star = (predicted_weight(cfg.kind, u=cfg.u, tau_p=1.0) if master is None
+                  else master.predicted_weight)
+        master_eq_s = time.perf_counter() - t_master
         results = map_units(lambda rep: _replicate(cfg, k, p, n, rep, w_star),
                             range(cfg.reps), cfg.threads)
 
@@ -189,6 +198,8 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             rmse_mean=float(rmse.mean()), rmse_stderr=_stderr(rmse),
             failures=failures,
             iterations_mean=float(np.mean(iterations)), iterations_max=max(iterations),
+            mc_stderr=None if master is None else master.mc_stderr,
+            master_eq_s=master_eq_s,
         ))
 
     if len(rows) >= 2:

@@ -10,10 +10,14 @@ where S' is the sample covariance of n-1 fresh draws, still normalized by
 F is continuous and strictly decreasing, so the master equation F(d*) = 1
 has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
-Q is estimated by Monte Carlo. One set of draws is eigendecomposed once and
-reused for every d evaluated during root finding (common random numbers),
-which keeps the empirical F exactly monotone in d and makes bisection
-well-posed at moderate rep counts.
+Q is estimated by Monte Carlo. One set of draws is built once and reused for
+every d evaluated during root finding (common random numbers), which keeps
+the empirical F exactly monotone in d and makes bisection well-posed at
+moderate rep counts. Each draw keeps the eigenvalues of S'; only a general
+Sigma_p also needs its eigenvectors. The draws are built in the worker map
+(`parallel.map_units`) on one worker pinned to one BLAS thread, and each is
+seeded by its rep index, so the estimate does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, ExistenceError
 from .estimators import UFunction, tyler_u
 from .model import Dataset, ScatterMatrix, leave_one_out_covariance
+from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
 
 __all__ = [
@@ -91,9 +96,12 @@ def f_hat(d: float, data: Dataset, i: int, u: UFunction, alpha: float) -> float:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Per rep: draw n-1 rows, form S' = X^T X / n, eigendecompose once and
-    keep (eigenvalues, diag(U^T Sigma_p U)); evaluating Q at any d is then
-    O(p) per rep, and all d values share the same randomness.
+    Per rep: draw n-1 rows, form S' = X^T X / n and keep its eigenvalues.
+    At identity shape (`shape` None) nothing else is needed; for a general
+    Sigma_p the rep eigendecomposes S' and also keeps diag(U^T Sigma_p U).
+    Evaluating Q at any d is then O(p) per rep, and all d values share the
+    same randomness. The reps are built by `map_units` on one worker at one
+    BLAS thread; rep r is seeded by ``derive_seed(seed, r)``.
     """
 
     def __init__(self, spec: DistributionSpec, shape: Optional[ScatterMatrix],
@@ -108,26 +116,23 @@ class QMonteCarlo:
         self.p = int(p)
         self.reps = int(reps)
         root = None if shape is None else spd_sqrt(shape)
-        self.tau_p = 1.0 if shape is None else shape.trace() / p
-        lam = np.empty((reps, p))
-        coef = np.empty((reps, p))
-        for r in range(reps):
-            draws = sample(spec, n - 1, p, derive_seed(seed, r)).samples
-            if root is not None:
-                draws = draws @ root
-            s = draws.T @ draws / n
-            w, vec = np.linalg.eigh(s)
-            lam[r] = w
-            if shape is None:
-                coef[r] = 1.0
-            else:
-                coef[r] = np.einsum("ij,ij->j", vec, shape.entries @ vec)
-        self._lam = lam
-        self._coef = coef
+
+        def draw(r: int):
+            x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
+            if root is None:
+                return np.linalg.eigvalsh(x.T @ x / n), None
+            x = x @ root
+            w, vec = np.linalg.eigh(x.T @ x / n)
+            return w, np.einsum("ij,ij->j", vec, shape.entries @ vec)
+
+        lam, coef = zip(*map_units(draw, range(reps), 1))
+        self._lam = np.array(lam)
+        self._coef = None if shape is None else np.array(coef)
 
     def q(self, phi_d: float, alpha_d: float) -> Tuple[float, float]:
         """Mean and standard error of p^{-1} Tr Sigma_p (phi_d S' + alpha_d I)^{-1}."""
-        per_rep = np.mean(self._coef / (phi_d * self._lam + alpha_d), axis=1)
+        num = 1.0 if self._coef is None else self._coef
+        per_rep = np.mean(num / (phi_d * self._lam + alpha_d), axis=1)
         mean = float(per_rep.mean())
         if self.reps == 1:
             return mean, 0.0

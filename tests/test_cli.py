@@ -87,15 +87,19 @@ class TestSimulate:
         assert len(lines) == 3
         assert lines[1].startswith("16,32,") and lines[2].startswith("32,64,")
         side = json.loads((tmp_path / "fig.csv.meta.json").read_text())
-        for key in ("slope_linf", "slope_rmse", "predicted_weight", "failures"):
+        for key in ("slope_linf", "slope_rmse", "predicted_weight"):
             assert key in side
+        assert "failures" not in side  # rows[].failures is the one copy
         assert [r["p"] for r in side["rows"]] == [16, 32]
         assert side["rows"][0]["n"] == 32 and "linf_mean" in side["rows"][0]
         assert list(side["rows"][0]) == ["p", "n", "w_star", "linf_mean", "linf_stderr",
                                          "rmse_mean", "rmse_stderr", "failures",
-                                         "iterations_mean", "iterations_max"]
+                                         "iterations_mean", "iterations_max",
+                                         "mc_stderr", "master_eq_s"]
         assert all(1 <= r["iterations_mean"] <= r["iterations_max"] <= 500
                    for r in side["rows"])
+        # ME's limit weight is closed-form: no Monte-Carlo error to report
+        assert all(r["mc_stderr"] is None and r["master_eq_s"] >= 0 for r in side["rows"])
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         args = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",
@@ -110,6 +114,14 @@ class TestSimulate:
         run(*args, "--out", tmp_path / "a.csv", "--threads", "1")
         run(*args, "--out", tmp_path / "b.csv", "--threads", "3")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_regularized_rows_report_the_master_equation(self, tmp_path):
+        out = tmp_path / "reg.csv"
+        assert run("simulate", "--kind", "tyler-reg", "--alpha", "1", "--mc-reps", "30",
+                   "--dist", "gaussian", "--dims", "12,24", "--reps", "2", "--seed", "4",
+                   "--out", out) == 0
+        rows = json.loads((tmp_path / "reg.csv.meta.json").read_text())["rows"]
+        assert all(r["mc_stderr"] > 0 and r["master_eq_s"] > 0 for r in rows)
 
 
 class TestMasterEq:
@@ -238,8 +250,8 @@ class TestThreads:
 
 
 def test_blas_threads_do_not_change_simulate_output(tmp_path):
-    # TRE runs its master-equation solve outside the worker map, so both the
-    # pinned replicate loop and unpinned BLAS calls are covered
+    # covers the pinned replicate loop and, for TRE, the master-equation
+    # draws built on one pinned worker
     src = str(Path(robust_scatter.__file__).resolve().parents[1])
     outputs = []
     for blas_threads in ("1", "2"):

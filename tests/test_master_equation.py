@@ -6,17 +6,21 @@ from robust_scatter import (
     DistributionSpec,
     ExistenceError,
     ScatterMatrix,
+    derive_seed,
     f_hat,
     make_ufunction,
+    master_equation,
     predicted_weight,
     q_hat,
     q_mc,
     rational_u,
+    sample,
     solve_master,
     tyler_regularized,
     tyler_u,
 )
 from robust_scatter.master_equation import QMonteCarlo
+from robust_scatter.parallel import openblas_copies
 
 GAUSS = DistributionSpec("gaussian")
 
@@ -104,6 +108,47 @@ class TestQMonteCarlo:
             assert f <= (1 + alpha) * q + 1e-12
 
 
+class TestBuild:
+    """How `QMonteCarlo` builds its draws: in the worker map, eigenvalues only
+    at identity shape."""
+
+    def test_identity_shape_keeps_the_eigenvalues_of_each_draw(self):
+        n, p, seed = 50, 12, 8
+        mc = QMonteCarlo(GAUSS, None, n, p, reps=6, seed=seed)
+        for r in range(6):
+            x = sample(GAUSS, n - 1, p, derive_seed(seed, r)).samples
+            expected = np.linalg.eigh(x.T @ x / n)[0]
+            assert np.max(np.abs(mc._lam[r] - expected)) <= 1e-12 * expected[-1]
+        # at identity shape Q is the mean of 1/(phi lambda + alpha d) over the draws
+        q, _ = mc.q(0.7, 1.3)
+        assert q == pytest.approx(np.mean(1.0 / (0.7 * mc._lam + 1.3)), rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [None, ScatterMatrix(np.diag([0.5, 1.5, 1.0]))],
+                             ids=["identity", "diagonal"])
+    def test_draws_run_at_one_blas_thread(self, monkeypatch, shape):
+        copies = [c for c in openblas_copies() if c.managed]
+        if not copies:
+            pytest.skip("no OpenBLAS with a known thread setter is loaded")
+        seen = []
+
+        def watched(*args, **kwargs):
+            seen.append([c.get_threads() for c in copies])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(master_equation, "sample", watched)
+        before = [c.get_threads() for c in copies]
+        # a count no default picks, so a build at the process's count shows
+        for c in copies:
+            c.set_threads(3)
+        try:
+            QMonteCarlo(GAUSS, shape, 20, 3, reps=5, seed=1)
+            assert [c.get_threads() for c in copies] == [3] * len(copies)
+        finally:
+            for c, count in zip(copies, before):
+                c.set_threads(count)
+        assert seen == [[1] * len(copies)] * 5
+
+
 class TestSolveMaster:
     def test_tre_root_identity(self):
         # at the root, Q(d*) = 1/(1+alpha-gamma) (common random numbers make
@@ -149,8 +194,6 @@ class TestSolveMaster:
     def test_tre_consistency_with_estimator(self):
         # weights of the solved estimator cluster around 1/d*; bound frozen
         # from a 20-seed pilot at this size (observed max deviation ~0.5-0.6)
-        from robust_scatter import sample
-
         res = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=None,
                            reps=200, seed=6, tol_root=1e-6)
         est = tyler_regularized(sample(GAUSS, 400, 200, seed=6), 1.0)

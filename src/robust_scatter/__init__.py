@@ -18,7 +18,6 @@ from .estimators import (
     ScatterEstimate,
     SolverConfig,
     UFunction,
-    check_te_existence,
     fit,
     fixed_point_residual,
     huber_u,
@@ -46,10 +45,7 @@ from .experiment import (
 )
 from .master_equation import (
     MasterEquationResult,
-    f_hat,
     predicted_weight,
-    q_hat,
-    q_mc,
     solve_master,
 )
 from .model import (

@@ -230,7 +230,6 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         tol=args.tol,
         max_iter=args.max_iter,
         mc_reps=args.mc_reps,
-        tol_root=args.tol_root,
         threads=_resolve_threads(args),
     )
     report = weight_deviation_experiment(cfg)
@@ -259,14 +258,15 @@ def _cmd_master_eq(args) -> tuple[str, dict]:
     if args.n is not None:
         n = args.n
     elif args.gamma is not None:
+        if not args.gamma > 0:
+            raise UsageError(f"--gamma must be positive, got {args.gamma:g}")
         n = int(round(p / args.gamma))
     else:
         raise UsageError("master-eq needs either --n or --gamma")
     spec = _dist_spec(args, p)
     shape, spec = spec.shape, replace(spec, shape=None)
     u = resolve_u(args.u) if args.kind == "mre" else None
-    res = solve_master(spec, shape, n, p, args.alpha, u=u, reps=args.reps,
-                       seed=args.seed, tol_root=args.tol_root)
+    res = solve_master(spec, shape, n, p, args.alpha, u=u, reps=args.reps, seed=args.seed)
     gamma = p / n
     payload = {
         "kind": res.kind,
@@ -391,7 +391,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=500)
     sp.add_argument("--mc-reps", type=int, default=200)
-    sp.add_argument("--tol-root", type=float, default=1e-3)
     sp.add_argument("--threads", type=int, default=None,
                     help="worker threads (default: ROBUST_SCATTER_THREADS or 1)")
     sp.set_defaults(func=_cmd_simulate)
@@ -407,7 +406,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--gamma", type=float, default=None, help="p/n (alternative to --n)")
     sp.add_argument("--reps", type=int, default=200)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--tol-root", type=float, default=1e-3)
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     sp.set_defaults(func=_cmd_master_eq)
 

@@ -58,7 +58,6 @@ __all__ = [
     "fit",
     "interference_h",
     "tyler_objective",
-    "check_te_existence",
     "fixed_point_residual",
     "quad_forms",
 ]
@@ -150,8 +149,9 @@ def tyler_u() -> UFunction:
 
 def make_ufunction(u: Callable, name: str = "custom", x_hi: float = 1e3) -> UFunction:
     """Wrap a user weight function: derive phi, estimate phi_inf and locate
-    the unit crossing d0 = phi^{-1}(1) by bisection with bracket expansion
-    (bracket grown from [1e-12, x_hi], crossing resolved to 1e-12)."""
+    the unit crossing d0 = phi^{-1}(1) with `brentq` on [1e-12, x_hi], the
+    upper end doubled until phi reaches 1 there."""
+    from scipy.optimize import brentq  # first use only, as in `simplex`
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -167,15 +167,7 @@ def make_ufunction(u: Callable, name: str = "custom", x_hi: float = 1e3) -> UFun
         expansions += 1
     d0 = None
     if float(phi(np.asarray(lo))) < 1.0 <= float(phi(np.asarray(hi))):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(phi(np.asarray(mid))) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        d0 = 0.5 * (lo + hi)
+        d0 = brentq(lambda x: float(phi(np.asarray(x))) - 1.0, lo, hi)
     return UFunction(name=name, u=u, phi=phi, phi_inf=phi_inf, d0=d0)
 
 
@@ -469,15 +461,6 @@ def tyler_objective(w: np.ndarray, data: Dataset) -> float:
     if sign <= 0:
         raise np.linalg.LinAlgError("weighted sum sum_i w_i x_i x_i^T is singular")
     return float(-np.log(w).sum() + (n / p) * logdet)
-
-
-def check_te_existence(data: Dataset) -> bool:
-    """Cheap proxy for the Kent-Tyler existence condition: n > p and the
-    sample matrix has full column rank. The full condition quantifies over
-    all proper subspaces and is not checked."""
-    if data.n <= data.p:
-        return False
-    return int(np.linalg.matrix_rank(data.samples)) == data.p
 
 
 def weights_from_matrix(kind: str, data: Dataset, matrix: ScatterMatrix,

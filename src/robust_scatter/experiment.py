@@ -42,8 +42,8 @@ class ExperimentConfig:
 
     The sampling spec must be shape-free; the experiment runs at identity
     population shape, which keeps tau_p = 1 so every kind has a well-defined
-    limit weight. `mc_reps`/`tol_root` control the master-equation solve
-    used to predict the TRE/MRE limits (one solve per dimension).
+    limit weight. `mc_reps` sets the Monte-Carlo draws of the master-equation
+    solve that predicts the TRE/MRE limits (one solve per dimension).
     """
 
     kind: str
@@ -57,7 +57,6 @@ class ExperimentConfig:
     tol: float = 1e-10
     max_iter: int = 500
     mc_reps: int = 200
-    tol_root: float = 1e-3
     threads: int = 1
 
     def __post_init__(self):
@@ -140,7 +139,6 @@ def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int,
         u=cfg.u if cfg.kind == "MRE" else None,
         reps=cfg.mc_reps,
         seed=derive_seed(cfg.base_seed, dim_index, cfg.reps),
-        tol_root=cfg.tol_root,
     )
 
 

@@ -12,8 +12,10 @@ has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
 Q is estimated by Monte Carlo. One set of draws is built once and reused for
 every d evaluated during root finding (common random numbers), which keeps
-the empirical F exactly monotone in d and makes bisection well-posed at
-moderate rep counts. Each draw keeps the eigenvalues of S'; only a general
+the empirical F continuous and exactly monotone in d, so scipy's `brentq`
+finds its root to double precision on those draws. The Monte-Carlo error of
+d* therefore comes from the draws alone. Each draw keeps the eigenvalues of
+S'; only a general
 Sigma_p also needs its eigenvectors. The draws are built in the worker map
 (`parallel.map_units`) on one worker pinned to one BLAS thread, and each is
 seeded by its rep index, so the estimate does not depend on the BLAS thread
@@ -30,15 +32,12 @@ import numpy as np
 
 from .errors import ConvergenceError, ExistenceError
 from .estimators import UFunction, tyler_u
-from .model import Dataset, ScatterMatrix, leave_one_out_covariance
+from .model import ScatterMatrix
 from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
 
 __all__ = [
     "MasterEquationResult",
-    "q_hat",
-    "f_hat",
-    "q_mc",
     "solve_master",
     "predicted_weight",
     "QMonteCarlo",
@@ -49,9 +48,10 @@ __all__ = [
 class MasterEquationResult:
     """Root of the master equation with Monte-Carlo error bars.
 
-    ``bracket`` is the final bisection bracket (F > 1 on the left endpoint,
-    < 1 on the right, at the Monte-Carlo estimates); ``q_star`` is the
-    Monte-Carlo Q at ``d_star`` and ``mc_stderr`` its standard error.
+    ``bracket`` is the sign-change bracket handed to `brentq` (F > 1 at the
+    left endpoint, < 1 at the right, on the frozen draws); ``f_residual`` is
+    |F(d_star) - 1| on the same draws. ``q_star`` is the Monte-Carlo Q at
+    ``d_star`` and ``mc_stderr`` its standard error (of Q, not of d_star).
     """
 
     d_star: float
@@ -64,35 +64,6 @@ class MasterEquationResult:
     q_star: float
 
 
-def q_hat(d: float, data: Dataset, i: int, u: UFunction, alpha: float) -> float:
-    """Leave-one-out plug-in Q̂_i(d) = p^{-1} x_i^T (phi(d) S_{-i} + alpha*d*I)^{-1} x_i.
-
-    Pass ``tyler_u()`` as `u` for the TRE case phi == 1.
-    """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    p = data.p
-    s_minus = leave_one_out_covariance(data, i).entries
-    phi_d = float(u.phi(np.asarray(d, dtype=float)))
-    m = phi_d * s_minus + alpha * d * np.eye(p)
-    xi = data.row(i)
-    try:
-        z = np.linalg.solve(m, xi)
-    except np.linalg.LinAlgError as exc:  # impossible for d, alpha > 0; guard anyway
-        raise np.linalg.LinAlgError("regularized leave-one-out matrix is singular") from exc
-    return float(xi @ z) / p
-
-
-def f_hat(d: float, data: Dataset, i: int, u: UFunction, alpha: float) -> float:
-    """F̂_i(d) = (1+alpha) Q̂_i(d) / (1 + gamma phi(d) Q̂_i(d))."""
-    qi = q_hat(d, data, i, u, alpha)
-    gamma = data.p / data.n
-    phi_d = float(u.phi(np.asarray(d, dtype=float)))
-    return (1.0 + alpha) * qi / (1.0 + gamma * phi_d * qi)
-
-
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
@@ -100,7 +71,7 @@ class QMonteCarlo:
     At identity shape (`shape` None) nothing else is needed; for a general
     Sigma_p the rep eigendecomposes S' and also keeps diag(U^T Sigma_p U).
     Evaluating Q at any d is then O(p) per rep, and all d values share the
-    same randomness. The reps are built by `map_units` on one worker at one
+    same randomness, so `solve_master` roots one fixed, continuous F. The reps are built by `map_units` on one worker at one
     BLAS thread; rep r is seeded by ``derive_seed(seed, r)``.
     """
 
@@ -139,31 +110,22 @@ class QMonteCarlo:
         return mean, float(per_rep.std(ddof=1) / math.sqrt(self.reps))
 
 
-def q_mc(d: float, spec: DistributionSpec, shape: Optional[ScatterMatrix],
-         n: int, p: int, alpha: float, u: UFunction,
-         reps: int, seed: int) -> Tuple[float, float]:
-    """Monte-Carlo mean and standard error of Q(d) over `reps` fresh draws."""
-    if d <= 0:
-        raise ValueError("d must be positive")
-    mc = QMonteCarlo(spec, shape, n, p, reps, seed)
-    phi_d = float(u.phi(np.asarray(d, dtype=float)))
-    return mc.q(phi_d, alpha * d)
-
-
 def _f_from_q(q: float, phi_d: float, alpha: float, gamma: float) -> float:
     return (1.0 + alpha) * q / (1.0 + gamma * phi_d * q)
 
 
 def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
                  n: int, p: int, alpha: float, u: Optional[UFunction] = None,
-                 reps: int = 200, seed: int = 0,
-                 tol_root: float = 1e-3) -> MasterEquationResult:
-    """Solve F(d*) = 1 by bracket expansion plus bisection on the
-    Monte-Carlo estimate of F (common random numbers across all d).
+                 reps: int = 200, seed: int = 0) -> MasterEquationResult:
+    """Solve F(d*) = 1 with `brentq` on the Monte-Carlo estimate of F
+    (common random numbers across all d), after growing the bracket
+    [0.5, 2] by factors of 2 until F - 1 changes sign on it.
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), which requires
     alpha > max(0, p/n - 1); otherwise the MRE case with weights u(d*).
     """
+    from scipy.optimize import brentq  # first use only, as in `simplex`
+
     gamma = p / n
     if alpha <= 0:
         raise ExistenceError(f"alpha must be positive, got {alpha:g}")
@@ -186,52 +148,43 @@ def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
         q, se = mc.q(phi_d, alpha * d)
         return _f_from_q(q, phi_d, alpha, gamma), q, se
 
+    def excess(d: float) -> float:
+        return f_and_q(d)[0] - 1.0
+
+    # F is decreasing, so at most one end of the bracket has to move
     lo, hi = 0.5, 2.0
-    f_lo, _, _ = f_and_q(lo)
-    doublings = 0
-    while f_lo <= 1.0:
-        lo /= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceError(
-                "no lower bracket for the master equation within 60 halvings; "
-                "F never rises above 1 at this Monte-Carlo accuracy"
-            )
-        f_lo, _, _ = f_and_q(lo)
-    f_hi, _, _ = f_and_q(hi)
-    doublings = 0
-    while f_hi >= 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceError(
-                "no upper bracket for the master equation within 60 doublings; "
-                "F never falls below 1 at this Monte-Carlo accuracy"
-            )
-        f_hi, _, _ = f_and_q(hi)
-
-    # bisection: F is exactly decreasing on the frozen draws
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid, q_mid, se_mid = f_and_q(mid)
-        if abs(f_mid - 1.0) <= tol_root or (hi - lo) <= tol_root * mid:
-            break
-        if f_mid > 1.0:
-            lo = mid
+    g_lo, g_hi = excess(lo), excess(hi)
+    for _ in range(60):
+        if g_lo <= 0.0:
+            lo /= 2.0
+            g_lo = excess(lo)
+        elif g_hi >= 0.0:
+            hi *= 2.0
+            g_hi = excess(hi)
         else:
-            hi = mid
-    else:  # pragma: no cover - 200 halvings always reach the width condition
-        raise ConvergenceError("master-equation bisection failed to terminate")
+            break
+    if not g_lo > 0.0:
+        raise ConvergenceError(
+            "no lower bracket for the master equation within 60 halvings; "
+            "F never rises above 1 at this Monte-Carlo accuracy"
+        )
+    if not g_hi < 0.0:
+        raise ConvergenceError(
+            "no upper bracket for the master equation within 60 doublings; "
+            "F never falls below 1 at this Monte-Carlo accuracy"
+        )
 
+    d_star = brentq(excess, lo, hi)
+    f_star, q_star, se_star = f_and_q(d_star)
     return MasterEquationResult(
-        d_star=float(mid),
-        bracket=(float(lo), float(hi)),
-        f_residual=float(abs(f_mid - 1.0)),
+        d_star=float(d_star),
+        bracket=(lo, hi),
+        f_residual=abs(f_star - 1.0),
         mc_reps=reps,
-        mc_stderr=se_mid,
-        predicted_weight=float(ufun.u(np.asarray(mid, dtype=float))),
+        mc_stderr=se_star,
+        predicted_weight=float(ufun.u(np.asarray(d_star, dtype=float))),
         kind=kind,
-        q_star=q_mid,
+        q_star=q_star,
     )
 
 

@@ -66,7 +66,6 @@ from robust_scatter import (
     hard_threshold,
     maronna,
     maronna_regularized,
-    q_mc,
     quadratic_form_diagnostics,
     rational_u,
     sample,
@@ -80,6 +79,8 @@ from robust_scatter import (
     tyler_u,
     weight_deviations,
 )
+from robust_scatter.master_equation import QMonteCarlo
+
 from lp_oracle import clime_column_oracle
 
 GAUSS = DistributionSpec("gaussian")
@@ -274,15 +275,14 @@ def test_criterion_4_quadratic_form_concentration():
 
 def test_criterion_5_master_equation_sanity():
     res = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=None,
-                       reps=400, seed=BASE_SEED, tol_root=1e-6)
-    q, se = q_mc(res.d_star, GAUSS, None, 400, 200, 1.0, tyler_u(),
-                 reps=400, seed=BASE_SEED)
+                       reps=400, seed=BASE_SEED)
+    q, se = QMonteCarlo(GAUSS, None, 400, 200, reps=400, seed=BASE_SEED).q(1.0, 1.0 * res.d_star)
     target = 1.0 / (1.0 + 1.0 - 0.5)
     gap = abs(q - target)
     ok_tre = gap <= 3.0 * max(se, 1e-15)
 
     mre = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=rational_u(),
-                       reps=400, seed=BASE_SEED, tol_root=1e-6)
+                       reps=400, seed=BASE_SEED)
     ok_mre = mre.d_star <= 2.0  # (1+alpha)/alpha * s_max at s_max = 1
     _report(5, "master equation TRE identity + MRE bound", ok_tre and ok_mre,
             f"|Q(d*)-{target:.4f}|={gap:.2e} vs 3*stderr={3 * se:.2e}; "
@@ -325,9 +325,9 @@ def test_criterion_6_regularized_weight_prediction():
     gamma = p / n
     z = ndtri(1.0 - DELTA / (2 * n))
     tre = solve_master(GAUSS, None, n, p, alpha=alpha, u=None,
-                       reps=400, seed=BASE_SEED, tol_root=1e-6)
+                       reps=400, seed=BASE_SEED)
     mre = solve_master(LAPLACE, None, n, p, alpha=alpha, u=rational_u(),
-                       reps=400, seed=BASE_SEED, tol_root=1e-6)
+                       reps=400, seed=BASE_SEED)
     cases = (
         ("TRE", GAUSS, tyler_u(), tre.predicted_weight,
          lambda data: tyler_regularized(data, alpha)),

@@ -141,6 +141,14 @@ class TestMasterEq:
                  "--dist", "gaussian", "--p", "40", "--seed", "3")
         assert rc == 1
 
+    @pytest.mark.parametrize("gamma", ["0", "-0.5"])
+    def test_gamma_must_be_positive(self, gamma, capsys):
+        rc = run("master-eq", "--kind", "tre", "--alpha", "1", "--gamma", gamma,
+                 "--dist", "gaussian", "--p", "40", "--seed", "3")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--gamma must be positive" in err
+
 
 class TestSparsePipelines:
     def test_sparse_cov_outputs(self, data_csv, tmp_path):
@@ -203,13 +211,21 @@ def test_stdout_is_the_out_file(command, data_csv, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == Path(args[-1]).read_bytes()
 
 
-@pytest.mark.parametrize("command,rc", [("simulate", 1), ("master-eq", 1), ("diagnose", 0)])
-def test_mean_only_on_diagnose(command, rc, data_csv, tmp_path, capsys):
+@pytest.mark.parametrize("command,flag,rc", [
+    pytest.param("simulate", ("--mean", "1"), 1, id="simulate-1"),
+    pytest.param("master-eq", ("--mean", "1"), 1, id="master-eq-1"),
+    pytest.param("diagnose", ("--mean", "1"), 0, id="diagnose-0"),
+    # the master-equation root is exact to double precision: no stopping tolerance
+    pytest.param("simulate", ("--tol-root", "1e-3"), 1, id="simulate-tol-root"),
+    pytest.param("master-eq", ("--tol-root", "1e-3"), 1, id="master-eq-tol-root"),
+])
+def test_mean_only_on_diagnose(command, flag, rc, data_csv, tmp_path, capsys):
     args = _commands(data_csv, tmp_path)[command]
     if command == "diagnose":  # --mean is a sampling flag, read by synthetic draws alone
         args = ("diagnose", "--p", "10", "--n", "30", "--seed", "1", *args[-2:])
-    assert run(*args, "--mean", "1") == rc
-    assert ("unrecognized arguments: --mean 1" in capsys.readouterr().err) == (rc == 1)
+    assert run(*args, *flag) == rc
+    err = capsys.readouterr().err
+    assert (f"unrecognized arguments: {' '.join(flag)}" in err) == (rc == 1)
 
 
 class TestThreads:
@@ -305,14 +321,13 @@ class TestShapeFile:
         save_matrix_csv(2.0 * np.eye(30), shape_path, digits=17)
         rc = run("master-eq", "--kind", "tre", "--alpha", "1", "--gamma", "0.5",
                  "--dist", "gaussian", "--p", "30", "--reps", "80", "--seed", "5",
-                 "--tol-root", "1e-6", "--shape-file", shape_path)
+                 "--shape-file", shape_path)
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tre_identity_gap"] <= 3 * max(doc["mc_stderr"], 1e-12)
         # doubling the population scale roughly doubles d* (Q scales in d)
         rc = run("master-eq", "--kind", "tre", "--alpha", "1", "--gamma", "0.5",
-                 "--dist", "gaussian", "--p", "30", "--reps", "80", "--seed", "5",
-                 "--tol-root", "1e-6")
+                 "--dist", "gaussian", "--p", "30", "--reps", "80", "--seed", "5")
         doc_id = json.loads(capsys.readouterr().out)
         assert doc["d_star"] == pytest.approx(2 * doc_id["d_star"], rel=0.02)
 

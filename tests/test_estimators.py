@@ -9,7 +9,6 @@ from robust_scatter import (
     ScatterMatrix,
     SolverConfig,
     apply_shape,
-    check_te_existence,
     fit,
     fixed_point_residual,
     huber_u,
@@ -497,14 +496,3 @@ class TestSolver:
         assert est.converged
         _, picard_updates = picard_oracle("TE", data.samples, tol=1e-10)
         assert est.iterations <= picard_updates / 2
-
-
-class TestExistenceCheck:
-    def test_full_rank_rows(self):
-        assert check_te_existence(Dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-
-    def test_collinear_rows(self):
-        assert not check_te_existence(Dataset([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]]))
-
-    def test_n_equals_p(self):
-        assert not check_te_existence(Dataset(np.eye(4)))

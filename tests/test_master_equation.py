@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from robust_scatter import (
-    Dataset,
+    ConvergenceError,
     DistributionSpec,
     ExistenceError,
     ScatterMatrix,
     derive_seed,
-    f_hat,
     make_ufunction,
     master_equation,
     predicted_weight,
-    q_hat,
-    q_mc,
     rational_u,
     sample,
     solve_master,
@@ -23,54 +20,19 @@ from robust_scatter.master_equation import QMonteCarlo
 from robust_scatter.parallel import openblas_copies
 
 GAUSS = DistributionSpec("gaussian")
+LAPLACE = DistributionSpec("laplace-iid")
 
 
 def zero_u():
     return make_ufunction(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
-class TestQHat:
-    def _probe_data(self):
-        # rows 0..1 give S_{-2} = I (p=2, n=3); row 2 is the probe sqrt(p) e_1
-        return Dataset([
-            [np.sqrt(3.0), 0.0],
-            [0.0, np.sqrt(3.0)],
-            [np.sqrt(2.0), 0.0],
-        ])
-
-    def test_constructed_identity_case(self):
-        data = self._probe_data()
-        assert q_hat(1.0, data, 2, tyler_u(), alpha=1.0) == pytest.approx(0.5, abs=1e-12)
-        assert q_hat(3.0, data, 2, tyler_u(), alpha=1.0) == pytest.approx(0.25, abs=1e-12)
-
-    def test_f_hat_formula(self):
-        data = self._probe_data()
-        q = q_hat(1.0, data, 2, tyler_u(), alpha=1.0)
-        gamma = 2.0 / 3.0
-        expected = 2.0 * q / (1.0 + gamma * q)
-        assert f_hat(1.0, data, 2, tyler_u(), alpha=1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_strictly_decreasing_in_d(self):
-        rng = np.random.default_rng(0)
-        data = Dataset(rng.standard_normal((12, 4)))
-        u = rational_u()
-        vals = [q_hat(d, data, 0, u, alpha=0.5) for d in (0.5, 1.0, 2.0, 4.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        data = self._probe_data()
-        with pytest.raises(ValueError):
-            q_hat(0.0, data, 2, tyler_u(), alpha=1.0)
-        with pytest.raises(ValueError):
-            q_hat(1.0, data, 2, tyler_u(), alpha=0.0)
-
-
 class TestQMonteCarlo:
     def test_zero_phi_gives_exact_trace_formula(self):
         # with u == 0 the matrix is alpha*d*I, so Q = tau_p / (alpha d) exactly
         shape = ScatterMatrix(np.diag([1.0, 3.0]))  # tau_p = 2
-        mean, stderr = q_mc(1.0, GAUSS, shape, n=20, p=2, alpha=2.0,
-                            u=zero_u(), reps=10, seed=1)
+        phi = float(zero_u().phi(np.asarray(1.0)))
+        mean, stderr = QMonteCarlo(GAUSS, shape, n=20, p=2, reps=10, seed=1).q(phi, 2.0 * 1.0)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -79,14 +41,16 @@ class TestQMonteCarlo:
         u = rational_u()
         for seed in range(10):
             d, alpha = 1.3, 0.7
-            mean, _ = q_mc(d, GAUSS, shape, n=12, p=3, alpha=alpha, u=u, reps=1, seed=seed)
+            mc = QMonteCarlo(GAUSS, shape, n=12, p=3, reps=1, seed=seed)
+            mean, _ = mc.q(float(u.phi(np.asarray(d))), alpha * d)
             assert mean <= 1.0 / (alpha * d) + 1e-12
 
     def test_stderr_scales_like_inverse_sqrt_reps(self):
         ratios = []
+        phi = float(rational_u().phi(np.asarray(1.0)))
         for seed in range(10):
-            _, se100 = q_mc(1.0, GAUSS, None, 40, 20, 1.0, rational_u(), reps=100, seed=seed)
-            _, se400 = q_mc(1.0, GAUSS, None, 40, 20, 1.0, rational_u(), reps=400, seed=seed)
+            _, se100 = QMonteCarlo(GAUSS, None, 40, 20, reps=100, seed=seed).q(phi, 1.0)
+            _, se400 = QMonteCarlo(GAUSS, None, 40, 20, reps=400, seed=seed).q(phi, 1.0)
             ratios.append(se400 / se100)
         assert 0.4 <= np.mean(ratios) <= 0.6
 
@@ -152,13 +116,41 @@ class TestBuild:
 class TestSolveMaster:
     def test_tre_root_identity(self):
         # at the root, Q(d*) = 1/(1+alpha-gamma) (common random numbers make
-        # this near-exact once the bisection is tight)
-        res = solve_master(GAUSS, None, 120, 60, alpha=1.0, u=None,
-                           reps=200, seed=3, tol_root=1e-6)
-        q, se = q_mc(res.d_star, GAUSS, None, 120, 60, 1.0, tyler_u(), reps=200, seed=3)
+        # this near-exact: the root is exact on the draws)
+        res = solve_master(GAUSS, None, 120, 60, alpha=1.0, u=None, reps=200, seed=3)
+        q, se = QMonteCarlo(GAUSS, None, 120, 60, reps=200, seed=3).q(1.0, 1.0 * res.d_star)
         assert abs(q - 1.0 / 1.5) <= 3.0 * max(se, 1e-12)
         assert res.bracket[0] < res.d_star < res.bracket[1]
         assert res.predicted_weight == pytest.approx(1.0 / res.d_star, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [GAUSS, LAPLACE], ids=["gaussian", "laplace-iid"])
+    @pytest.mark.parametrize("u", [None, rational_u()], ids=["TRE", "MRE"])
+    def test_root_is_exact_on_the_draws(self, spec, u):
+        n, p, alpha = 128, 64, 1.0
+        res = solve_master(spec, None, n, p, alpha=alpha, u=u, reps=200, seed=7)
+        assert res.f_residual <= 1e-12
+        if u is None:
+            assert abs(res.q_star - 1.0 / (1.0 + alpha - p / n)) <= 1e-12
+        # the reported bracket is a sign change of F - 1 on the same draws
+        mc = QMonteCarlo(spec, None, n, p, reps=200, seed=7)
+        ufun = tyler_u() if u is None else u
+
+        def f_of(d):
+            phi_d = float(ufun.phi(np.asarray(d)))
+            q, _ = mc.q(phi_d, alpha * d)
+            return (1.0 + alpha) * q / (1.0 + p / n * phi_d * q)
+
+        lo, hi = res.bracket
+        assert f_of(lo) > 1.0 > f_of(hi)
+        assert lo < res.d_star < hi
+
+    @pytest.mark.parametrize("q,side", [(1.0 / 1.5, "lower"), (10.0, "upper")])
+    def test_no_sign_change_raises_convergence_error(self, monkeypatch, q, side):
+        # a constant Q makes F constant: F == 1 exactly (no lower end with
+        # F > 1) or F > 1 everywhere (no upper end with F < 1)
+        monkeypatch.setattr(QMonteCarlo, "q", lambda self, phi_d, alpha_d: (q, 0.0))
+        with pytest.raises(ConvergenceError, match=f"no {side} bracket"):
+            solve_master(GAUSS, None, 40, 20, alpha=1.0, u=None, reps=2, seed=0)
 
     def test_q_star_is_monte_carlo_q_at_root(self):
         res = solve_master(GAUSS, None, 120, 60, alpha=1.0, u=None, reps=50, seed=3)
@@ -174,7 +166,7 @@ class TestSolveMaster:
         assert res.predicted_weight == pytest.approx(float(u.u(np.asarray(res.d_star))))
 
     def test_root_stability_under_doubled_reps(self):
-        kw = dict(alpha=1.0, u=rational_u(), seed=5, tol_root=1e-6)
+        kw = dict(alpha=1.0, u=rational_u(), seed=5)
         r1 = solve_master(GAUSS, None, 80, 40, reps=150, **kw)
         r2 = solve_master(GAUSS, None, 80, 40, reps=300, **kw)
         # propagate Q-stderr through the local slope of F
@@ -194,8 +186,7 @@ class TestSolveMaster:
     def test_tre_consistency_with_estimator(self):
         # weights of the solved estimator cluster around 1/d*; bound frozen
         # from a 20-seed pilot at this size (observed max deviation ~0.5-0.6)
-        res = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=None,
-                           reps=200, seed=6, tol_root=1e-6)
+        res = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=None, reps=200, seed=6)
         est = tyler_regularized(sample(GAUSS, 400, 200, seed=6), 1.0)
         dev = np.max(np.abs(est.weights - res.predicted_weight))
         assert dev < 0.75

@@ -7,7 +7,10 @@ six. It times the run, writes the artifact to a temporary file renamed
 onto `--out` (never partially written), or to stdout when `master-eq` or
 `diagnose` get no `--out`, and next to it a JSON sidecar
 (`<out>.meta.json`) echoing the full configuration, package version and
-BLAS configuration, so any run can be reproduced exactly.
+BLAS configuration, so any run can be reproduced exactly. Every command
+runs with each loaded OpenBLAS held at one thread (`parallel.ONE_BLAS_THREAD`);
+the sidecar is written after the pin is undone, so it reports the process's
+own thread counts.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the failure is
 reported as JSON on stdout with a machine-readable ``code``). Failures are
@@ -44,7 +47,7 @@ from .experiment import (
 )
 from .master_equation import solve_master
 from .model import load_dataset_csv, matrix_csv_text, sample_covariance, write_text_atomic
-from .parallel import blas_report
+from .parallel import ONE_BLAS_THREAD, blas_report
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import sparse_cov_estimate
@@ -98,7 +101,8 @@ def _run(args: argparse.Namespace) -> int:
     `args.out` (stdout when there is none) and, with an `args.out`, the
     sidecar. Any failure is raised before anything is written."""
     t0 = time.perf_counter()
-    text, extra = args.func(args)
+    with ONE_BLAS_THREAD:
+        text, extra = args.func(args)
     if args.out is None:
         sys.stdout.write(text)
         return 0

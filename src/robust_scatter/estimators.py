@@ -14,8 +14,10 @@ TRE   1 / d_i         same shrunk update
 The Tyler kinds are the Maronna template with u = ``tyler_u()``.
 
 All four are solved in d-space. Sigma(d) is the update above at weights
-u(d), rescaled for TE and symmetrized, and the map is d -> quad_forms(x,
-Sigma(d)); d is a fixed point iff Sigma(d) solves the estimator equation.
+u(d), rescaled for TE, and the map is d -> quad_forms(x, Sigma(d)); d is a
+fixed point iff Sigma(d) solves the estimator equation. The weighted
+covariance is formed as B^T B with B = x * sqrt(w/n) row-wise, which numpy
+hands to SYRK: half the flops of a general product, and exactly symmetric.
 The solver iterates y = log d from the forms at the identity (or a
 caller-supplied SPD start), mixing each step over the last few map values
 by Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011). A mixed
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import blas, lapack
 
 from .errors import ExistenceError
 from .model import Dataset, ScatterMatrix
@@ -222,15 +224,32 @@ class ScatterEstimate:
 
 
 def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x (one Cholesky)."""
-    p = x.shape[1]
-    chol = np.linalg.cholesky(sigma)
-    z = solve_triangular(chol, x.T, lower=True, check_finite=False)
+    """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x.
+
+    One LAPACK Cholesky sigma = L L^T (``np.linalg.LinAlgError`` when sigma
+    is not positive definite), then d_i = |L^{-1} x_i|^2 / p. With at least
+    p rows, L is inverted once and applied to x^T by a triangular product;
+    with fewer rows (the one-row leave-one-out forms of
+    `experiment.quadratic_form_diagnostics`) one triangular solve is
+    cheaper. x^T of a C-ordered x is already in the Fortran order both
+    kernels take, so no transposed copy of x is made.
+    """
+    n, p = x.shape
+    chol, info = lapack.dpotrf(sigma, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"sigma is not positive definite (leading minor {info})")
+    if n >= p:
+        inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)
+        z = blas.dtrmm(1.0, inv, x.T, lower=1)
+    else:
+        z = blas.dtrsm(1.0, chol, x.T, lower=1)
     return np.einsum("ij,ij->j", z, z) / p
 
 
 def _weighted_cov(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return x.T @ (x * w[:, None]) / x.shape[0]
+    """(1/n) sum_i w_i x_i x_i^T for weights w >= 0, exactly symmetric."""
+    b = x * np.sqrt(w / x.shape[0])[:, None]
+    return b.T @ b
 
 
 def _relfrob(delta: np.ndarray, ref: np.ndarray) -> float:
@@ -260,13 +279,12 @@ def _d_map(kind: str, x: np.ndarray, d: np.ndarray, weigh: Callable,
     """One step of the fixed-point map in d-space.
 
     Returns Sigma(d), the right side of the defining equation at weights
-    u(d) (rescaled to trace p for TE, symmetrized), and the quadratic forms
-    at it. d solves the estimator equation iff the forms equal d.
+    u(d) (rescaled to trace p for TE), and the quadratic forms at it. d
+    solves the estimator equation iff the forms equal d.
     """
     sigma = _defining_rhs(kind, x, np.asarray(weigh(d), dtype=float), alpha)
     if kind == "TE":
         sigma *= x.shape[1] / np.trace(sigma)
-    sigma = (sigma + sigma.T) / 2.0
     return sigma, quad_forms(x, sigma)
 
 

@@ -124,6 +124,8 @@ def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
     `u` = None selects the TRE case (phi == 1, weights 1/d*), which requires
     alpha > max(0, p/n - 1); otherwise the MRE case with weights u(d*).
     """
+    if n < 1 or p < 1:
+        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
     gamma = p / n

@@ -1,15 +1,19 @@
-"""The one worker map: independent units of work, one BLAS thread each.
+"""One BLAS thread per worker: the pin, and the one worker map that holds it.
 
 Replicate and column loops (`experiment.weight_deviation_experiment`,
 `sparse.clime`) hand their units to `map_units`. On the small matrices those
 units factor, a multithreaded OpenBLAS costs more in thread hand-offs than it
 computes, and under a worker pool its threads and the pool's compete for the
 same cores. So while a map runs, every loaded OpenBLAS is held at one thread
-and its previous count comes back when the map ends.
+and its previous count comes back when the map ends. The CLI holds the same
+pin, `ONE_BLAS_THREAD`, around each whole command: a single Tyler solve is
+faster on one BLAS thread at every size measured, p = 512 included, and the
+command's output no longer depends on the process's BLAS thread count.
 
 A process running numpy and scipy carries two OpenBLAS copies: numpy's
-(``libscipy_openblas64_``, Cholesky and matrix products) and scipy's
-(``libscipy_openblas``, triangular solves). Both are found in
+(``libscipy_openblas64_``: matrix products, the solvers' SYRK Gram,
+eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
+kernels of ``estimators.quad_forms``). Both are found in
 ``/proc/self/maps`` on first use and set through their C-ABI setters, which
 take the count by value. A copy without a known setter is left as it is; when
 no copy is found the pin does nothing.
@@ -24,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-__all__ = ["openblas_copies", "blas_report", "map_units"]
+__all__ = ["openblas_copies", "blas_report", "ONE_BLAS_THREAD", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -83,8 +87,8 @@ def openblas_copies() -> List[OpenBlasCopy]:
 
 
 def blas_report() -> List[dict]:
-    """Each OpenBLAS copy with its current thread count and whether worker
-    loops pin it ("pinned") or leave it alone ("unmanaged")."""
+    """Each OpenBLAS copy with its current thread count and whether commands
+    and worker loops pin it ("pinned") or leave it alone ("unmanaged")."""
     return [
         {
             "library": os.path.basename(c.path),
@@ -99,8 +103,10 @@ class _OneBlasThread:
     """Context manager holding every managed OpenBLAS at one thread.
 
     The thread counts are process-wide, so there is one instance per
-    process. Nested and concurrent maps share the pin: the first to enter
-    records the counts and sets them to 1, the last to leave restores them.
+    process, `ONE_BLAS_THREAD`. Nested and concurrent holders (a command
+    and the maps it runs, or several maps) share the pin: the first to
+    enter records the counts and sets them to 1, the last to leave restores
+    them.
     """
 
     def __init__(self):
@@ -127,7 +133,7 @@ class _OneBlasThread:
         return False
 
 
-_ONE_BLAS_THREAD = _OneBlasThread()
+ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def map_units(fn: Callable[[T], R], items: Iterable[T], threads: int) -> List[R]:
@@ -139,7 +145,7 @@ def map_units(fn: Callable[[T], R], items: Iterable[T], threads: int) -> List[R]
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    with _ONE_BLAS_THREAD:
+    with ONE_BLAS_THREAD:
         if threads == 1:
             return [fn(x) for x in items]
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -149,6 +149,19 @@ class TestMasterEq:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--gamma must be positive" in err
 
+    @pytest.mark.parametrize("flags", [("--n", "0"), ("--n", "-5"), ("--p", "0", "--n", "10"),
+                                       ("--p", "1", "--gamma", "3")],
+                             ids=["n0", "n-5", "p0", "gamma-rounds-n-to-0"])
+    def test_n_and_p_must_be_positive(self, flags, tmp_path, capsys):
+        out = tmp_path / "meq.json"
+        rc = run("master-eq", "--kind", "tre", "--alpha", "1", "--p", "40", *flags,
+                 "--dist", "gaussian", "--reps", "20", "--seed", "3", "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n and p must be positive" in err
+        assert err.count("\n") == 1
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
 
 class TestSparsePipelines:
     def test_sparse_cov_outputs(self, data_csv, tmp_path):
@@ -265,23 +278,37 @@ class TestThreads:
             assert (entry["threads"] is None) == (entry["in_loops"] == "unmanaged")
 
 
-def test_blas_threads_do_not_change_simulate_output(tmp_path):
-    # covers the pinned replicate loop and, for TRE, the master-equation
-    # draws built on one pinned worker
+def test_blas_threads_do_not_change_outputs(tmp_path):
+    # simulate covers the pinned replicate loop and, for TRE, the
+    # master-equation draws built on one pinned worker; estimate, diagnose
+    # and sparse-cov run their BLAS work outside any worker map
     src = str(Path(robust_scatter.__file__).resolve().parents[1])
+    data = tmp_path / "data.csv"
+    save_matrix_csv(sample(DistributionSpec("laplace-iid"), 400, 100, seed=12).samples, data,
+                    digits=17)
     outputs = []
     for blas_threads in ("1", "2"):
-        out = tmp_path / f"blas{blas_threads}.csv"
+        out = tmp_path / f"blas{blas_threads}"
+        commands = [
+            ("simulate", "--kind", kind, *extra, "--dist", "laplace", "--dims", "32,96",
+             "--reps", "3", "--seed", "11", "--threads", "2", "--out", f"{out}.sim-{kind}.csv")
+            for kind, extra in (("tyler", ()), ("tyler-reg", ("--alpha", "1", "--mc-reps", "40")))
+        ] + [
+            ("estimate", "--kind", kind, "--input", data, "--out", f"{out}.est-{kind}.json")
+            for kind in ("tyler", "maronna-reg")
+        ] + [
+            ("diagnose", "--input", data, "--out", f"{out}.diag.json"),
+            ("sparse-cov", "--input", data, "--c1", "0.5", "--out", f"{out}.sp.csv"),
+        ]
+        argvs = [[str(a) for a in cmd] for cmd in commands]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for kind, extra in (("tyler", ()), ("tyler-reg", ("--alpha", "1", "--mc-reps", "40"))):
-            path = out.with_suffix(f".{kind}.csv")
-            subprocess.run([sys.executable, "-m", "robust_scatter.cli", "simulate",
-                            "--kind", kind, *extra, "--dist", "laplace", "--dims", "32,96",
-                            "--reps", "3", "--seed", "11", "--threads", "2", "--out", path],
-                           env=env, check=True, capture_output=True, timeout=300)
-            outputs.append(path.read_bytes())
-    assert outputs[:2] == outputs[2:]
+        code = ("import json, sys; from robust_scatter.cli import main; "
+                "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append([Path(argv[-1]).read_bytes() for argv in argvs])
+    assert outputs[0] == outputs[1]
 
 
 class TestDiagnose:

@@ -431,6 +431,38 @@ class TestDiagnostics:
         assert fixed_point_residual(fake, data) > 1e-3
 
 
+class TestQuadForms:
+    """Both kernels of `quad_forms`: the inverted factor (rows >= p) and
+    the triangular solve (rows < p)."""
+
+    P = 12
+
+    @pytest.mark.parametrize("rows", [1, P - 1, P, 2 * P])
+    def test_matches_dense_solve(self, rows):
+        rng = np.random.default_rng(40 + rows)
+        a = rng.standard_normal((self.P, self.P))
+        sigma = a @ a.T + 0.5 * np.eye(self.P)
+        x = rng.standard_normal((rows, self.P))
+        want = np.einsum("ij,ji->i", x, np.linalg.solve(sigma, x.T)) / self.P
+        np.testing.assert_allclose(quad_forms(x, sigma), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 2 * P])
+    def test_non_spd_raises(self, rows):
+        x = np.random.default_rng(41).standard_normal((rows, self.P))
+        sigma = np.eye(self.P)
+        sigma[3, 3] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            quad_forms(x, sigma)
+
+    def test_weighted_cov_exactly_symmetric(self):
+        x = sample(DistributionSpec("laplace-iid"), 90, 30, seed=42).samples
+        w = np.random.default_rng(43).random(90)
+        s = estimators._weighted_cov(x, w)
+        assert np.array_equal(s, s.T)
+        want = x.T @ (x * w[:, None]) / 90
+        np.testing.assert_allclose(s, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
 ELLIPTICAL_PARETO = DistributionSpec("elliptical", radial_law=RadialLaw("pareto", 3.0))
 
 

@@ -62,7 +62,7 @@ def test_counts_restored_after_an_exception_in_fn(managed, threads):
     with pytest.raises(RuntimeError, match="unit 4 failed"):
         map_units(fn, range(8), threads)
     assert _counts() == managed
-    assert parallel._ONE_BLAS_THREAD._depth == 0
+    assert parallel.ONE_BLAS_THREAD._depth == 0
 
 
 def test_nested_maps_restore_once(managed):
@@ -103,7 +103,7 @@ def test_concurrent_maps_stress(managed):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in callers)
     assert errors == []
-    assert parallel._ONE_BLAS_THREAD._depth == 0
+    assert parallel.ONE_BLAS_THREAD._depth == 0
     assert _counts() == managed
 
 

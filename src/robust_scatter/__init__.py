@@ -62,7 +62,6 @@ from .model import (
 from .samplers import (
     DistributionSpec,
     RadialLaw,
-    apply_shape,
     derive_seed,
     sample,
     spd_sqrt,

@@ -8,9 +8,8 @@ onto `--out` (never partially written), or to stdout when `master-eq` or
 `diagnose` get no `--out`, and next to it a JSON sidecar
 (`<out>.meta.json`) echoing the full configuration, package version and
 BLAS configuration, so any run can be reproduced exactly. Every command
-runs with each loaded OpenBLAS held at one thread (`parallel.ONE_BLAS_THREAD`);
-the sidecar is written after the pin is undone, so it reports the process's
-own thread counts.
+runs at the one BLAS thread the package pins at import (`parallel`), and the
+sidecar reports that count.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the failure is
 reported as JSON on stdout with a machine-readable ``code``). Failures are
@@ -47,7 +46,7 @@ from .experiment import (
 )
 from .master_equation import solve_master
 from .model import load_dataset_csv, matrix_csv_text, sample_covariance, write_text_atomic
-from .parallel import ONE_BLAS_THREAD, blas_report
+from .parallel import blas_report
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import sparse_cov_estimate
@@ -101,8 +100,7 @@ def _run(args: argparse.Namespace) -> int:
     `args.out` (stdout when there is none) and, with an `args.out`, the
     sidecar. Any failure is raised before anything is written."""
     t0 = time.perf_counter()
-    with ONE_BLAS_THREAD:
-        text, extra = args.func(args)
+    text, extra = args.func(args)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -128,21 +126,6 @@ def estimate_to_dict(est: ScatterEstimate, n: int) -> dict:
         "residual": est.residual,
         "converged": est.converged,
     }
-
-
-def estimate_from_dict(doc: dict) -> ScatterEstimate:
-    p = int(doc["p"])
-    u = resolve_u(doc["u"]) if doc.get("u") else None
-    return ScatterEstimate(
-        matrix=ScatterMatrix(np.array(doc["matrix"], dtype=float).reshape(p, p)),
-        weights=np.array(doc["weights"], dtype=float),
-        kind=doc["kind"],
-        alpha=float(doc["alpha"]),
-        iterations=int(doc["iterations"]),
-        residual=float(doc["residual"]),
-        converged=bool(doc["converged"]),
-        u=u,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
     "interference_h",
     "tyler_objective",
     "fixed_point_residual",
+    "weights_from_matrix",
     "quad_forms",
 ]
 
@@ -256,10 +257,10 @@ def _relfrob(delta: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(delta) / np.linalg.norm(ref))
 
 
-def _check_rows(x: np.ndarray, reject_zero: bool) -> None:
+def _check_rows(x: np.ndarray) -> None:
     norms = np.linalg.norm(x, axis=1)
     tiny = norms < _ZERO_ROW_RTOL * max(norms.max(), 1e-300)
-    if reject_zero and tiny.any():
+    if tiny.any():
         raise ExistenceError(
             f"{int(tiny.sum())} sample(s) have (near-)zero norm; "
             "Tyler-type weights are undefined for them"
@@ -390,7 +391,7 @@ def tyler(data: Dataset, cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """
     if data.n <= data.p:
         raise ExistenceError(f"Tyler's estimator needs n > p (got n={data.n}, p={data.p})")
-    _check_rows(data.samples, reject_zero=True)
+    _check_rows(data.samples)
     return _solve("TE", data, None, 0.0, cfg)
 
 
@@ -410,7 +411,7 @@ def tyler_regularized(data: Dataset, alpha: float,
         raise ExistenceError(
             f"TRE needs alpha > max(0, p/n - 1) = {max(0.0, gamma - 1.0):g}, got {alpha:g}"
         )
-    _check_rows(data.samples, reject_zero=True)
+    _check_rows(data.samples)
     return _solve("TRE", data, None, alpha, cfg)
 
 

@@ -15,11 +15,8 @@ every d evaluated during root finding (common random numbers), which keeps
 the empirical F continuous and exactly monotone in d, so scipy's `brentq`
 finds its root to double precision on those draws. The Monte-Carlo error of
 d* therefore comes from the draws alone. Each draw keeps the eigenvalues of
-S'; only a general
-Sigma_p also needs its eigenvectors. The draws are built in the worker map
-(`parallel.map_units`) on one worker pinned to one BLAS thread, and each is
-seeded by its rep index, so the estimate does not depend on the BLAS thread
-count.
+S'; only a general Sigma_p also needs its eigenvectors. Each draw is seeded
+by its rep index.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import numpy as np
 from .errors import ConvergenceError, ExistenceError
 from .estimators import UFunction, tyler_u
 from .model import ScatterMatrix
-from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
 
 __all__ = [
@@ -71,8 +67,8 @@ class QMonteCarlo:
     At identity shape (`shape` None) nothing else is needed; for a general
     Sigma_p the rep eigendecomposes S' and also keeps diag(U^T Sigma_p U).
     Evaluating Q at any d is then O(p) per rep, and all d values share the
-    same randomness, so `solve_master` roots one fixed, continuous F. The reps are built by `map_units` on one worker at one
-    BLAS thread; rep r is seeded by ``derive_seed(seed, r)``.
+    same randomness, so `solve_master` roots one fixed, continuous F.
+    Rep r is seeded by ``derive_seed(seed, r)``.
     """
 
     def __init__(self, spec: DistributionSpec, shape: Optional[ScatterMatrix],
@@ -96,7 +92,7 @@ class QMonteCarlo:
             w, vec = np.linalg.eigh(x.T @ x / n)
             return w, np.einsum("ij,ij->j", vec, shape.entries @ vec)
 
-        lam, coef = zip(*map_units(draw, range(reps), 1))
+        lam, coef = zip(*[draw(r) for r in range(reps)])
         self._lam = np.array(lam)
         self._coef = None if shape is None else np.array(coef)
 

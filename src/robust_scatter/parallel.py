@@ -1,34 +1,34 @@
-"""One BLAS thread per worker: the pin, and the one worker map that holds it.
+"""One BLAS thread for the whole process, and the worker map.
 
-Replicate and column loops (`experiment.weight_deviation_experiment`,
-`sparse.clime`) hand their units to `map_units`. On the small matrices those
-units factor, a multithreaded OpenBLAS costs more in thread hand-offs than it
-computes, and under a worker pool its threads and the pool's compete for the
-same cores. So while a map runs, every loaded OpenBLAS is held at one thread
-and its previous count comes back when the map ends. The CLI holds the same
-pin, `ONE_BLAS_THREAD`, around each whole command: a single Tyler solve is
-faster on one BLAS thread at every size measured, p = 512 included, and the
-command's output no longer depends on the process's BLAS thread count.
+Importing the package sets every loaded OpenBLAS to one thread, once, for
+the life of the process. On the matrices the package factors (measured up
+to p = 512 on 2 cores) a single Tyler solve is faster on one BLAS thread at
+every size, under a worker pool BLAS threads would compete with the workers
+for the same cores, and one fixed count keeps library and CLI outputs
+independent of ``OPENBLAS_NUM_THREADS``. Replicate and column loops
+(`experiment.weight_deviation_experiment`, `sparse.clime`) hand their units
+to `map_units`, so each worker runs one BLAS thread.
 
 A process running numpy and scipy carries two OpenBLAS copies: numpy's
 (``libscipy_openblas64_``: matrix products, the solvers' SYRK Gram,
 eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
 kernels of ``estimators.quad_forms``). Both are found in
-``/proc/self/maps`` on first use and set through their C-ABI setters, which
-take the count by value. A copy without a known setter is left as it is; when
-no copy is found the pin does nothing.
+``/proc/self/maps`` and set through their C-ABI setters, which take the
+count by value. A copy without a known setter is left as it is.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, TypeVar
 
-__all__ = ["openblas_copies", "blas_report", "ONE_BLAS_THREAD", "map_units"]
+import numpy  # noqa: F401  (both OpenBLAS copies must be mapped before the pin below)
+import scipy.linalg  # noqa: F401
+
+__all__ = ["openblas_copies", "blas_report", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -87,8 +87,8 @@ def openblas_copies() -> List[OpenBlasCopy]:
 
 
 def blas_report() -> List[dict]:
-    """Each OpenBLAS copy with its current thread count and whether commands
-    and worker loops pin it ("pinned") or leave it alone ("unmanaged")."""
+    """Each OpenBLAS copy with its current thread count and whether the
+    import-time pin holds it ("pinned") or leaves it alone ("unmanaged")."""
     return [
         {
             "library": os.path.basename(c.path),
@@ -99,54 +99,22 @@ def blas_report() -> List[dict]:
     ]
 
 
-class _OneBlasThread:
-    """Context manager holding every managed OpenBLAS at one thread.
-
-    The thread counts are process-wide, so there is one instance per
-    process, `ONE_BLAS_THREAD`. Nested and concurrent holders (a command
-    and the maps it runs, or several maps) share the pin: the first to
-    enter records the counts and sets them to 1, the last to leave restores
-    them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: list = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [(c, c.get_threads()) for c in openblas_copies() if c.managed]
-                for c, _ in self._saved:
-                    c.set_threads(1)
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for c, count in self._saved:
-                    c.set_threads(count)
-                self._saved = []
-        return False
-
-
-ONE_BLAS_THREAD = _OneBlasThread()
+# The one place thread counts are set: every managed copy, for the life of
+# the process.
+for _copy in openblas_copies():
+    if _copy.managed:
+        _copy.set_threads(1)
 
 
 def map_units(fn: Callable[[T], R], items: Iterable[T], threads: int) -> List[R]:
     """``[fn(x) for x in items]`` on `threads` workers, results in input order.
 
     One worker runs the units in the calling thread; more use a thread pool.
-    Either way every OpenBLAS runs one thread per worker for the duration.
-    The first exception raised by `fn` propagates after the pin is undone.
+    The first exception raised by `fn` propagates.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    with ONE_BLAS_THREAD:
-        if threads == 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

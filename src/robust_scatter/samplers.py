@@ -33,7 +33,6 @@ __all__ = [
     "DistributionSpec",
     "FAMILIES",
     "sample",
-    "apply_shape",
     "symmetrize",
     "derive_seed",
     "spd_sqrt",
@@ -192,18 +191,6 @@ def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
         provenance=Provenance(
             family=spec.family + extra, seed=int(seed), shape=shape_desc, mean=mean_desc
         ),
-    )
-
-
-def apply_shape(data: Dataset, shape: ScatterMatrix) -> Dataset:
-    """Transform every row by the SPD square root of `shape` (x -> shape^{1/2} x)."""
-    if shape.p != data.p:
-        raise ValueError(f"shape is {shape.p}x{shape.p} but data has p={data.p}")
-    root = spd_sqrt(shape)
-    prov = data.provenance or Provenance()
-    return Dataset(
-        data.samples @ root,
-        provenance=Provenance(prov.family, prov.seed, f"spd({shape.p}x{shape.p})", prov.mean),
     )
 
 

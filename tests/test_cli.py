@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import robust_scatter
-from robust_scatter import sample, DistributionSpec, save_matrix_csv
-from robust_scatter.cli import estimate_from_dict, estimate_to_dict, main
+from robust_scatter import (DistributionSpec, fit, load_dataset_csv, rational_u, sample,
+                             save_matrix_csv)
+from robust_scatter.cli import estimate_to_dict, main
 
 
 @pytest.fixture
@@ -41,13 +42,13 @@ class TestEstimate:
         assert "version" in side and "config" in side
 
     def test_round_trip_identical(self, data_csv, tmp_path):
+        # the library fit, serialized, is the JSON the command wrote
         out = tmp_path / "est.json"
         run("estimate", "--kind", "maronna-reg", "--u", "rational", "--alpha", "0.5",
             "--input", data_csv, "--out", out)
-        doc = json.loads(out.read_text())
-        est = estimate_from_dict(doc)
-        again = estimate_to_dict(est, doc["n"])
-        assert again == doc
+        data = load_dataset_csv(data_csv)
+        est = fit("MRE", data, rational_u(), 0.5)
+        assert estimate_to_dict(est, data.n) == json.loads(out.read_text())
 
     def test_non_convergence_exits_2(self, data_csv, tmp_path, capsys):
         rc = run("estimate", "--kind", "tyler", "--input", data_csv,
@@ -278,10 +279,30 @@ class TestThreads:
             assert (entry["threads"] is None) == (entry["in_loops"] == "unmanaged")
 
 
+# the CLI commands, then library calls made without the CLI: `fit` for each
+# kind and `quadratic_form_diagnostics`, their float outputs written raw
+_CLI_AND_LIBRARY = """
+import json, sys
+from robust_scatter import fit, load_dataset_csv, quadratic_form_diagnostics, rational_u
+from robust_scatter.cli import main
+argvs, data_path, lib_out = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+rc = max(main(argv) for argv in argvs)
+data = load_dataset_csv(data_path)
+parts = []
+for kind in ("TE", "ME", "TRE", "MRE"):
+    est = fit(kind, data, rational_u(), 1.0)
+    parts += [est.matrix.entries.tobytes(), est.weights.tobytes()]
+parts.append(repr(quadratic_form_diagnostics(data)).encode())
+with open(lib_out, "wb") as fh:
+    fh.write(b"".join(parts))
+sys.exit(rc)
+"""
+
+
 def test_blas_threads_do_not_change_outputs(tmp_path):
-    # simulate covers the pinned replicate loop and, for TRE, the
-    # master-equation draws built on one pinned worker; estimate, diagnose
-    # and sparse-cov run their BLAS work outside any worker map
+    # simulate covers the replicate loop on two workers and, for TRE, the
+    # master-equation draws; estimate, diagnose and sparse-cov run on the
+    # calling thread; the library calls go through no CLI code at all
     src = str(Path(robust_scatter.__file__).resolve().parents[1])
     data = tmp_path / "data.csv"
     save_matrix_csv(sample(DistributionSpec("laplace-iid"), 400, 100, seed=12).samples, data,
@@ -303,11 +324,10 @@ def test_blas_threads_do_not_change_outputs(tmp_path):
         argvs = [[str(a) for a in cmd] for cmd in commands]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import json, sys; from robust_scatter.cli import main; "
-                "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
-        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                       env=env, check=True, capture_output=True, timeout=300)
-        outputs.append([Path(argv[-1]).read_bytes() for argv in argvs])
+        lib_out = f"{out}.lib.bin"
+        subprocess.run([sys.executable, "-c", _CLI_AND_LIBRARY, json.dumps(argvs), str(data),
+                        lib_out], env=env, check=True, capture_output=True, timeout=300)
+        outputs.append([Path(path).read_bytes() for path in [*(a[-1] for a in argvs), lib_out]])
     assert outputs[0] == outputs[1]
 
 

@@ -8,7 +8,6 @@ from robust_scatter import (
     RadialLaw,
     ScatterMatrix,
     SolverConfig,
-    apply_shape,
     fit,
     fixed_point_residual,
     huber_u,
@@ -19,6 +18,7 @@ from robust_scatter import (
     predicted_weight,
     rational_u,
     sample,
+    spd_sqrt,
     tyler,
     tyler_objective,
     tyler_regularized,
@@ -383,9 +383,9 @@ class TestDiagnostics:
         data = Dataset(rng.standard_normal((30, 5)))
         a = rng.standard_normal((5, 5))
         shape = ScatterMatrix(a @ a.T + 2 * np.eye(5))
-        shaped = apply_shape(data, shape)
+        shaped = data.samples @ spd_sqrt(shape)
         q1 = quad_forms(data.samples, (data.samples.T @ data.samples) / 30)
-        q2 = quad_forms(shaped.samples, (shaped.samples.T @ shaped.samples) / 30)
+        q2 = quad_forms(shaped, (shaped.T @ shaped) / 30)
         np.testing.assert_allclose(q1, q2, rtol=1e-10)
 
     def test_uniqueness_probe_random_inits(self):

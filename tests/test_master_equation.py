@@ -8,7 +8,6 @@ from robust_scatter import (
     ScatterMatrix,
     derive_seed,
     make_ufunction,
-    master_equation,
     predicted_weight,
     rational_u,
     sample,
@@ -17,7 +16,6 @@ from robust_scatter import (
     tyler_u,
 )
 from robust_scatter.master_equation import QMonteCarlo
-from robust_scatter.parallel import openblas_copies
 
 GAUSS = DistributionSpec("gaussian")
 LAPLACE = DistributionSpec("laplace-iid")
@@ -86,31 +84,6 @@ class TestBuild:
         # at identity shape Q is the mean of 1/(phi lambda + alpha d) over the draws
         q, _ = mc.q(0.7, 1.3)
         assert q == pytest.approx(np.mean(1.0 / (0.7 * mc._lam + 1.3)), rel=1e-14)
-
-    @pytest.mark.parametrize("shape", [None, ScatterMatrix(np.diag([0.5, 1.5, 1.0]))],
-                             ids=["identity", "diagonal"])
-    def test_draws_run_at_one_blas_thread(self, monkeypatch, shape):
-        copies = [c for c in openblas_copies() if c.managed]
-        if not copies:
-            pytest.skip("no OpenBLAS with a known thread setter is loaded")
-        seen = []
-
-        def watched(*args, **kwargs):
-            seen.append([c.get_threads() for c in copies])
-            return sample(*args, **kwargs)
-
-        monkeypatch.setattr(master_equation, "sample", watched)
-        before = [c.get_threads() for c in copies]
-        # a count no default picks, so a build at the process's count shows
-        for c in copies:
-            c.set_threads(3)
-        try:
-            QMonteCarlo(GAUSS, shape, 20, 3, reps=5, seed=1)
-            assert [c.get_threads() for c in copies] == [3] * len(copies)
-        finally:
-            for c, count in zip(copies, before):
-                c.set_threads(count)
-        assert seen == [[1] * len(copies)] * 5
 
 
 class TestSolveMaster:

@@ -1,8 +1,10 @@
+import json
 import os
 import random
+import subprocess
 import sys
-import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import scipy
 from robust_scatter import parallel
 from robust_scatter.parallel import blas_report, map_units, openblas_copies
 
-OUTSIDE = 3  # a thread count no default picks on its own, so a restore shows
+OUTSIDE = 3  # a thread count neither the pin nor a 2-core default picks
 
 
 def _built_with_scipy_openblas(module) -> bool:
@@ -19,20 +21,19 @@ def _built_with_scipy_openblas(module) -> bool:
     return blas.get("name") == "scipy-openblas"
 
 
-def _counts():
-    return {c.path: c.get_threads() for c in openblas_copies() if c.managed}
+def _assert_both_copies(names):
+    # numpy's ILP64 copy and scipy's LP64 copy are two libraries
+    if _built_with_scipy_openblas(np):
+        assert any(n.startswith("libscipy_openblas64_") for n in names), names
+    if _built_with_scipy_openblas(scipy):
+        assert any(n.startswith("libscipy_openblas") and "64_" not in n for n in names), names
 
 
 @pytest.fixture
 def managed():
     """Every managed OpenBLAS set to OUTSIDE threads, put back afterwards."""
     copies = [c for c in openblas_copies() if c.managed]
-    names = [os.path.basename(c.path) for c in copies]
-    # numpy's ILP64 copy and scipy's LP64 copy are two libraries
-    if _built_with_scipy_openblas(np):
-        assert any(n.startswith("libscipy_openblas64_") for n in names), names
-    if _built_with_scipy_openblas(scipy):
-        assert any(n.startswith("libscipy_openblas") and "64_" not in n for n in names), names
+    _assert_both_copies([os.path.basename(c.path) for c in copies])
     if not copies:
         pytest.skip("no OpenBLAS with a known thread setter is loaded")
     before = [(c, c.get_threads()) for c in copies]
@@ -45,73 +46,29 @@ def managed():
             c.set_threads(n)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_every_copy_reads_one_inside_the_map(managed, threads):
-    inside = map_units(lambda _: _counts(), range(6), threads)
-    assert all(seen == {path: 1 for path in managed} for seen in inside)
-    assert _counts() == managed
+def test_import_pins_every_copy_to_one_thread():
+    # a fresh process whose environment asks for 3 threads: importing the
+    # package alone must leave every managed copy at 1
+    code = ("import json; import robust_scatter; from robust_scatter import parallel; "
+            "print(json.dumps([[c.get_threads() for c in parallel.openblas_copies() "
+            "if c.managed], parallel.blas_report()]))")
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(OUTSIDE),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    counts, report = json.loads(done.stdout)
+    pinned = [r for r in report if r["in_loops"] == "pinned"]
+    _assert_both_copies([r["library"] for r in pinned])
+    if not counts:
+        pytest.skip("no OpenBLAS with a known thread setter is loaded")
+    assert counts == [1] * len(counts)
+    assert len(pinned) == len(counts)
+    assert all(r["threads"] == 1 for r in pinned)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_counts_restored_after_an_exception_in_fn(managed, threads):
-    def fn(x):
-        if x == 4:
-            raise RuntimeError("unit 4 failed")
-        return x
-
-    with pytest.raises(RuntimeError, match="unit 4 failed"):
-        map_units(fn, range(8), threads)
-    assert _counts() == managed
-    assert parallel.ONE_BLAS_THREAD._depth == 0
-
-
-def test_nested_maps_restore_once(managed):
-    def outer(_):
-        inner = map_units(lambda _: _counts(), range(3), 2)
-        return inner, _counts()
-
-    for inner, after_inner in map_units(outer, range(4), 2):
-        # the inner map ending must not undo the outer map's pin
-        assert all(seen == {path: 1 for path in managed} for seen in inner)
-        assert after_inner == {path: 1 for path in managed}
-    assert _counts() == managed
-
-
-def test_concurrent_maps_stress(managed):
-    """More map callers than cores, switching often: the pin holds while any
-    map runs and the counts come back exactly once, after the last one."""
-    errors = []
-    pinned = {path: 1 for path in managed}
-
-    def caller():
-        try:
-            for _ in range(20):
-                for seen in map_units(lambda _: _counts(), range(3), 2):
-                    assert seen == pinned
-        except Exception as exc:  # reported to the main thread below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        callers = [threading.Thread(target=caller) for _ in range(8)]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in callers)
-    assert errors == []
-    assert parallel.ONE_BLAS_THREAD._depth == 0
-    assert _counts() == managed
-
-
-def test_no_op_when_discovery_finds_nothing(managed, monkeypatch):
-    real_counts = _counts
+def test_no_op_when_discovery_finds_nothing(monkeypatch):
     monkeypatch.setattr(parallel, "openblas_copies", lambda: [])
-    inside = map_units(lambda _: real_counts(), range(4), 2)
-    assert all(seen == managed for seen in inside)
     assert blas_report() == []
 
 

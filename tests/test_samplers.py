@@ -6,7 +6,6 @@ from robust_scatter import (
     DistributionSpec,
     RadialLaw,
     ScatterMatrix,
-    apply_shape,
     derive_seed,
     sample,
     sample_covariance,
@@ -94,27 +93,42 @@ class TestFamilies:
         np.testing.assert_allclose(emp_cov, shape.entries, atol=0.2)
 
 
+def _shaped(shape, p, seed=4):
+    """The same seeded draw without and with `shape`."""
+    plain = sample(DistributionSpec("gaussian"), 6, p, seed).samples
+    return plain, sample(DistributionSpec("gaussian", shape=shape), 6, p, seed).samples
+
+
 class TestApplyShape:
+    """The shape transform `sample` applies for `DistributionSpec(shape=...)`:
+    every row times the SPD square root of the shape."""
+
     def test_identity_leaves_data_unchanged(self):
-        d = Dataset([[1.0, 2.0], [3.0, 4.0]])
-        out = apply_shape(d, ScatterMatrix(np.eye(2)))
-        np.testing.assert_allclose(out.samples, d.samples, atol=1e-12)
+        plain, shaped = _shaped(ScatterMatrix(np.eye(2)), 2)
+        np.testing.assert_allclose(shaped, plain, atol=1e-12)
 
     def test_scalar_sqrt(self):
-        out = apply_shape(Dataset([[3.0]]), ScatterMatrix([[4.0]]))
-        np.testing.assert_allclose(out.samples, [[6.0]], atol=1e-12)
+        plain, shaped = _shaped(ScatterMatrix([[4.0]]), 1)
+        np.testing.assert_allclose(shaped, 2.0 * plain, atol=1e-12)
 
     def test_diagonal_sqrt(self):
-        out = apply_shape(Dataset([[1.0, 1.0]]), ScatterMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(out.samples, [[2.0, 3.0]], atol=1e-12)
+        plain, shaped = _shaped(ScatterMatrix(np.diag([4.0, 9.0])), 2)
+        np.testing.assert_allclose(shaped, plain * [2.0, 3.0], atol=1e-12)
+
+    def test_exact_transform(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((4, 4))
+        shape = ScatterMatrix(a @ a.T + 4 * np.eye(4))
+        plain, shaped = _shaped(shape, 4)
+        assert np.array_equal(shaped, plain @ spd_sqrt(shape))
 
     def test_non_spd_rejected(self):
-        with pytest.raises(ValueError):
-            apply_shape(Dataset([[1.0, 0.0]]), ScatterMatrix(np.diag([1.0, -1.0])))
+        with pytest.raises(ValueError, match="not symmetric positive definite"):
+            _shaped(ScatterMatrix(np.diag([1.0, -1.0])), 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_shape(Dataset([[1.0, 0.0]]), ScatterMatrix(np.eye(3)))
+        with pytest.raises(ValueError, match="expected p=2"):
+            _shaped(ScatterMatrix(np.eye(3)), 2)
 
     def test_sqrt_squares_back(self):
         rng = np.random.default_rng(6)

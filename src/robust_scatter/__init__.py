@@ -51,7 +51,6 @@ from .master_equation import (
 from .model import (
     Dataset,
     NormReport,
-    Provenance,
     ScatterMatrix,
     leave_one_out_covariance,
     load_dataset_csv,

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -175,14 +174,6 @@ def _dist_spec(args: argparse.Namespace, p: int) -> DistributionSpec:
     )
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    """Worker count from --threads, else ROBUST_SCATTER_THREADS, else 1;
-    stored back on `args` so the sidecar echoes the count that ran."""
-    if args.threads is None:
-        args.threads = int(os.environ.get("ROBUST_SCATTER_THREADS", "1"))
-    return args.threads
-
-
 def _solver_cfg(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
@@ -217,15 +208,12 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         tol=args.tol,
         max_iter=args.max_iter,
         mc_reps=args.mc_reps,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     report = weight_deviation_experiment(cfg)
-    lines = ["p,n,linf_mean,linf_stderr,rmse_mean,rmse_stderr"]
-    for r in report.rows:
-        lines.append(
-            f"{r.p},{r.n},{r.linf_mean:.10g},{r.linf_stderr:.10g},"
-            f"{r.rmse_mean:.10g},{r.rmse_stderr:.10g}"
-        )
+    text = "p,n,linf_mean,linf_stderr,rmse_mean,rmse_stderr\n" + matrix_csv_text(
+        [[r.p, r.n, r.linf_mean, r.linf_stderr, r.rmse_mean, r.rmse_stderr]
+         for r in report.rows])
     extra = {
         "slope_linf": report.slope_linf,
         "intercept_linf": report.intercept_linf,
@@ -237,7 +225,7 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         "rows": [asdict(r) for r in report.rows],
         "experiment_wall_time_s": report.wall_time,
     }
-    return "\n".join(lines) + "\n", extra
+    return text, extra
 
 
 def _cmd_master_eq(args) -> tuple[str, dict]:
@@ -250,10 +238,9 @@ def _cmd_master_eq(args) -> tuple[str, dict]:
         n = int(round(p / args.gamma))
     else:
         raise UsageError("master-eq needs either --n or --gamma")
-    spec = _dist_spec(args, p)
-    shape, spec = spec.shape, replace(spec, shape=None)
     u = resolve_u(args.u) if args.kind == "mre" else None
-    res = solve_master(spec, shape, n, p, args.alpha, u=u, reps=args.reps, seed=args.seed)
+    res = solve_master(_dist_spec(args, p), n, p, args.alpha, u=u, reps=args.reps,
+                       seed=args.seed)
     gamma = p / n
     payload = {
         "kind": res.kind,
@@ -298,7 +285,7 @@ def _cmd_clime(args) -> tuple[str, dict]:
     else:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
-    out = clime_solve(proxy, args.lam, truth=truth, threads=_resolve_threads(args))
+    out = clime_solve(proxy, args.lam, truth=truth, threads=args.threads)
     extra = {
         "method": out.method,
         "lambda": out.parameter,
@@ -378,8 +365,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=500)
     sp.add_argument("--mc-reps", type=int, default=200)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: ROBUST_SCATTER_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=1, help="worker threads")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("master-eq", formatter_class=fmt,
@@ -415,8 +401,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--truth", default=None, help="optional CSV with the true inverse shape")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=500)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: ROBUST_SCATTER_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=1, help="worker threads")
     sp.set_defaults(func=_cmd_clime)
 
     sp = sub.add_parser("diagnose", formatter_class=fmt,

@@ -49,7 +49,6 @@ __all__ = [
     "huber_u",
     "tyler_u",
     "make_ufunction",
-    "U_REGISTRY",
     "resolve_u",
     "SolverConfig",
     "ScatterEstimate",
@@ -174,19 +173,15 @@ def make_ufunction(u: Callable, name: str = "custom", x_hi: float = 1e3) -> UFun
     return UFunction(name=name, u=u, phi=phi, phi_inf=phi_inf, d0=d0)
 
 
-U_REGISTRY = {"rational": rational_u, "huber": huber_u}
-
-
 def resolve_u(name: str) -> UFunction:
-    """Look up a weight function by CLI-style name: 'rational' or 'huber:t'."""
-    if ":" in name:
-        base, arg = name.split(":", 1)
-        if base != "huber":
-            raise ValueError(f"unknown u function {name!r}")
-        return huber_u(float(arg))
-    if name not in U_REGISTRY:
+    """Look up a weight function by CLI-style name: 'rational', 'huber'
+    (t = 2) or 'huber:t'."""
+    if name == "rational":
+        return rational_u()
+    base, sep, arg = name.partition(":")
+    if base != "huber":
         raise ValueError(f"unknown u function {name!r}; available: rational, huber:t")
-    return U_REGISTRY[name]()
+    return huber_u(float(arg)) if sep else huber_u()
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int,
     if cfg.kind in ("TE", "ME"):
         return None
     return solve_master(
-        cfg.dist, None, n, p, cfg.alpha,
+        cfg.dist, n, p, cfg.alpha,
         u=cfg.u if cfg.kind == "MRE" else None,
         reps=cfg.mc_reps,
         seed=derive_seed(cfg.base_seed, dim_index, cfg.reps),

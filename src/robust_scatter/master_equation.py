@@ -6,7 +6,9 @@ For a weight function u (phi(x) = x*u(x)) and regularization alpha > 0,
     F(d) = (1+alpha) Q(d) / (1 + gamma phi(d) Q(d)),        gamma = p/n,
 
 where S' is the sample covariance of n-1 fresh draws, still normalized by
-1/n (the leave-one-out convention: removing one sample keeps the divisor).
+1/n (the leave-one-out convention: removing one sample keeps the divisor),
+and Sigma_p is the population shape of the sampling spec (`spec.shape`, the
+identity when None).
 F is continuous and strictly decreasing, so the master equation F(d*) = 1
 has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
@@ -22,14 +24,13 @@ by its rep index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, ExistenceError
 from .estimators import UFunction, tyler_u
-from .model import ScatterMatrix
 from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
 
 __all__ = [
@@ -64,28 +65,29 @@ class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
     Per rep: draw n-1 rows, form S' = X^T X / n and keep its eigenvalues.
-    At identity shape (`shape` None) nothing else is needed; for a general
-    Sigma_p the rep eigendecomposes S' and also keeps diag(U^T Sigma_p U).
+    At identity shape (`spec.shape` None) nothing else is needed; for a
+    general Sigma_p = `spec.shape` the rows are drawn isotropic, multiplied by
+    Sigma_p^{1/2} (computed once), and the rep eigendecomposes S' and also
+    keeps diag(U^T Sigma_p U).
     Evaluating Q at any d is then O(p) per rep, and all d values share the
     same randomness, so `solve_master` roots one fixed, continuous F.
     Rep r is seeded by ``derive_seed(seed, r)``.
     """
 
-    def __init__(self, spec: DistributionSpec, shape: Optional[ScatterMatrix],
-                 n: int, p: int, reps: int, seed: int):
+    def __init__(self, spec: DistributionSpec, n: int, p: int, reps: int, seed: int):
         if reps < 1:
             raise ValueError("reps must be at least 1")
-        if spec.shape is not None:
-            raise ValueError("pass the shape matrix separately, with a shape-free spec")
+        shape = spec.shape
         if shape is not None and shape.p != p:
             raise ValueError(f"shape is {shape.p}x{shape.p}, expected p={p}")
         self.n = int(n)
         self.p = int(p)
         self.reps = int(reps)
         root = None if shape is None else spd_sqrt(shape)
+        isotropic = replace(spec, shape=None)
 
         def draw(r: int):
-            x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
+            x = sample(isotropic, n - 1, p, derive_seed(seed, r)).samples
             if root is None:
                 return np.linalg.eigvalsh(x.T @ x / n), None
             x = x @ root
@@ -110,12 +112,13 @@ def _f_from_q(q: float, phi_d: float, alpha: float, gamma: float) -> float:
     return (1.0 + alpha) * q / (1.0 + gamma * phi_d * q)
 
 
-def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
-                 n: int, p: int, alpha: float, u: Optional[UFunction] = None,
-                 reps: int = 200, seed: int = 0) -> MasterEquationResult:
+def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
+                 u: Optional[UFunction] = None, reps: int = 200,
+                 seed: int = 0) -> MasterEquationResult:
     """Solve F(d*) = 1 with `brentq` on the Monte-Carlo estimate of F
     (common random numbers across all d), after growing the bracket
-    [0.5, 2] by factors of 2 until F - 1 changes sign on it.
+    [0.5, 2] by factors of 2 until F - 1 changes sign on it. Sigma_p is
+    `spec.shape` (the identity when None).
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), which requires
     alpha > max(0, p/n - 1); otherwise the MRE case with weights u(d*).
@@ -139,7 +142,7 @@ def solve_master(spec: DistributionSpec, shape: Optional[ScatterMatrix],
         ufun = u
         kind = "MRE"
 
-    mc = QMonteCarlo(spec, shape, n, p, reps, seed)
+    mc = QMonteCarlo(spec, n, p, reps, seed)
 
     def f_and_q(d: float) -> Tuple[float, float, float]:
         phi_d = float(ufun.phi(np.asarray(d, dtype=float)))

@@ -7,16 +7,15 @@ normalization (also for leave-one-out versions), and indices are zero-based.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import CsvFormatError
 
 __all__ = [
-    "Provenance",
     "Dataset",
     "ScatterMatrix",
     "NormReport",
@@ -36,22 +35,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Descriptive record of how a dataset was produced. Never affects numerics."""
-
-    family: Optional[str] = None
-    seed: Optional[int] = None
-    shape: Optional[str] = None
-    mean: Optional[str] = None
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable n x p sample matrix, one observation per row."""
 
     samples: np.ndarray
-    provenance: Optional[Provenance] = None
 
     def __post_init__(self):
         a = np.asarray(self.samples, dtype=float)
@@ -161,7 +149,7 @@ def load_dataset_csv(path) -> Dataset:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if line == "" and width is not None:
-                # tolerate a single trailing newline at EOF
+                # blank lines after the first row are skipped, wherever they are
                 continue
             fields = line.split(",")
             if width is None:
@@ -181,7 +169,7 @@ def load_dataset_csv(path) -> Dataset:
                         line=lineno,
                         column=colno,
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise CsvFormatError(
                         f"line {lineno}, column {colno}: non-finite value {tok!r}",
                         line=lineno,

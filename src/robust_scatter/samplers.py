@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Dataset, Provenance, ScatterMatrix
+from .model import Dataset, ScatterMatrix
 
 __all__ = [
     "RadialLaw",
@@ -84,9 +84,6 @@ class RadialLaw:
         # standard Pareto on [1, inf): inverse-CDF of u ~ U(0,1)
         u = rng.random(size)
         return (1.0 - u) ** (-1.0 / self.param)
-
-    def describe(self) -> str:
-        return f"{self.kind}({self.param:g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,27 +168,11 @@ def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
 
     rng = np.random.default_rng(int(seed))
     rows = _isotropic_rows(spec, n, p, rng)
-
-    shape_desc = "identity"
     if spec.shape is not None:
         rows = rows @ spd_sqrt(spec.shape)  # sqrt is symmetric
-        shape_desc = f"spd({p}x{p})"
-    mean_desc = "zero"
     if spec.mean is not None and np.any(spec.mean != 0.0):
         rows = rows + spec.mean
-        mean_desc = "nonzero"
-
-    extra = ""
-    if spec.family == "permuted-smoothed":
-        extra = f",sigma={spec.sigma_smooth:g}"
-    elif spec.family == "elliptical":
-        extra = f",radial={spec.radial_law.describe()}"
-    return Dataset(
-        rows,
-        provenance=Provenance(
-            family=spec.family + extra, seed=int(seed), shape=shape_desc, mean=mean_desc
-        ),
-    )
+    return Dataset(rows)
 
 
 def symmetrize(data: Dataset) -> Dataset:
@@ -204,7 +185,4 @@ def symmetrize(data: Dataset) -> Dataset:
         raise ValueError(f"symmetrize requires an even number of rows, got {data.n}")
     half = data.n // 2
     x = data.samples
-    out = (x[:half] - x[half:]) / np.sqrt(2.0)
-    prov = data.provenance or Provenance()
-    fam = (prov.family or "unknown") + "+symmetrized"
-    return Dataset(out, provenance=Provenance(fam, prov.seed, prov.shape, "zero"))
+    return Dataset((x[:half] - x[half:]) / np.sqrt(2.0))

@@ -274,14 +274,14 @@ def test_criterion_4_quadratic_form_concentration():
 
 
 def test_criterion_5_master_equation_sanity():
-    res = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=None,
+    res = solve_master(GAUSS, 400, 200, alpha=1.0, u=None,
                        reps=400, seed=BASE_SEED)
-    q, se = QMonteCarlo(GAUSS, None, 400, 200, reps=400, seed=BASE_SEED).q(1.0, 1.0 * res.d_star)
+    q, se = QMonteCarlo(GAUSS, 400, 200, reps=400, seed=BASE_SEED).q(1.0, 1.0 * res.d_star)
     target = 1.0 / (1.0 + 1.0 - 0.5)
     gap = abs(q - target)
     ok_tre = gap <= 3.0 * max(se, 1e-15)
 
-    mre = solve_master(GAUSS, None, 400, 200, alpha=1.0, u=rational_u(),
+    mre = solve_master(GAUSS, 400, 200, alpha=1.0, u=rational_u(),
                        reps=400, seed=BASE_SEED)
     ok_mre = mre.d_star <= 2.0  # (1+alpha)/alpha * s_max at s_max = 1
     _report(5, "master equation TRE identity + MRE bound", ok_tre and ok_mre,
@@ -324,9 +324,9 @@ def test_criterion_6_regularized_weight_prediction():
     n, p, alpha = 400, 200, 1.0
     gamma = p / n
     z = ndtri(1.0 - DELTA / (2 * n))
-    tre = solve_master(GAUSS, None, n, p, alpha=alpha, u=None,
+    tre = solve_master(GAUSS, n, p, alpha=alpha, u=None,
                        reps=400, seed=BASE_SEED)
-    mre = solve_master(LAPLACE, None, n, p, alpha=alpha, u=rational_u(),
+    mre = solve_master(LAPLACE, n, p, alpha=alpha, u=rational_u(),
                        reps=400, seed=BASE_SEED)
     cases = (
         ("TRE", GAUSS, tyler_u(), tre.predicted_weight,

@@ -252,24 +252,14 @@ class TestThreads:
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not Path(args[-1]).exists()
 
-    @pytest.mark.parametrize("command", WORKER_COMMANDS)
-    def test_environment_below_one_exits_1(self, command, data_csv, tmp_path, capsys,
-                                           monkeypatch):
-        monkeypatch.setenv("ROBUST_SCATTER_THREADS", "-2")
-        args = _commands(data_csv, tmp_path)[command]
-        assert run(*args) == 1
-        assert "threads must be at least 1" in capsys.readouterr().err
-        assert not Path(args[-1]).exists()
-
     # every command's sidecar has a `blas` list; the worker commands also
     # echo the worker count that ran
     @pytest.mark.parametrize("command", [*WORKER_COMMANDS, "estimate", "master-eq",
                                          "sparse-cov", "diagnose"])
-    def test_sidecar_records_resolved_threads_and_blas(self, command, data_csv, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setenv("ROBUST_SCATTER_THREADS", "2")
+    def test_sidecar_records_resolved_threads_and_blas(self, command, data_csv, tmp_path):
         args = _commands(data_csv, tmp_path)[command]
-        assert run(*args) == 0
+        threads = ("--threads", "2") if command in WORKER_COMMANDS else ()
+        assert run(*args, *threads) == 0
         side = json.loads(Path(f"{args[-1]}.meta.json").read_text())
         assert side["config"].get("threads") == (2 if command in WORKER_COMMANDS else None)
         assert isinstance(side["blas"], list)

@@ -178,11 +178,19 @@ class TestCsv:
             load_dataset_csv(path)
         assert exc.value.line == 2
 
-    def test_non_finite_rejected(self, tmp_path):
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_rejected(self, token, tmp_path):
         path = tmp_path / "inf.csv"
-        path.write_text("1.0,inf\n")
-        with pytest.raises(CsvFormatError):
+        path.write_text(f"1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(CsvFormatError) as exc:
             load_dataset_csv(path)
+        assert exc.value.line == 2
+        assert exc.value.column == 2
+
+    def test_blank_lines_after_the_first_row_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0\n\n")
+        np.testing.assert_array_equal(load_dataset_csv(path).samples, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -43,11 +43,7 @@ from .experiment import (
     weight_deviation_experiment,
     weight_deviations,
 )
-from .master_equation import (
-    MasterEquationResult,
-    predicted_weight,
-    solve_master,
-)
+from .master_equation import MasterEquationResult, solve_master
 from .model import (
     Dataset,
     NormReport,

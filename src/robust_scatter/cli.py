@@ -73,6 +73,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# `diagnose` defaults its sampling flags to None to mark them not given; help shows the real ones
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):
+        if action.default is None and _DIST_DEFAULTS.get(action.dest) is not None:
+            return f"{action.help} (default: {_DIST_DEFAULTS[action.dest]})"
+        return super()._get_help_string(action)
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -112,6 +120,16 @@ def _norms_dict(norms) -> dict:
     return {"max": norms.max_norm, "l1": norms.l1_norm, "operator": norms.operator_norm}
 
 
+def _sparse_extra(est, parameter_key: str) -> dict:
+    """The `sparse-cov` and `clime` sidecar fields, the parameter named after the flag."""
+    return {
+        "method": est.method,
+        parameter_key: est.parameter,
+        "input_norms": _norms_dict(est.input_norms),
+        "error_vs_truth": _norms_dict(est.error_vs_truth) if est.error_vs_truth else None,
+    }
+
+
 def estimate_to_dict(est: ScatterEstimate, n: int) -> dict:
     return {
         "kind": est.kind,
@@ -144,6 +162,13 @@ def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
     if with_shape:
         sp.add_argument("--shape-file", default=_DIST_DEFAULTS["shape_file"],
                         help="CSV file with the p x p population shape matrix")
+
+
+def _add_solver_args(sp) -> None:
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="stop once the defining-equation residual is at most this")
+    sp.add_argument("--max-iter", type=int, default=500,
+                    help="map evaluations allowed per solve")
 
 
 def _parse_radial(text: str) -> RadialLaw:
@@ -214,51 +239,26 @@ def _cmd_simulate(args) -> tuple[str, dict]:
     text = "p,n,linf_mean,linf_stderr,rmse_mean,rmse_stderr\n" + matrix_csv_text(
         [[r.p, r.n, r.linf_mean, r.linf_stderr, r.rmse_mean, r.rmse_stderr]
          for r in report.rows])
-    extra = {
-        "slope_linf": report.slope_linf,
-        "intercept_linf": report.intercept_linf,
-        "r2_linf": report.r2_linf,
-        "slope_rmse": report.slope_rmse,
-        "intercept_rmse": report.intercept_rmse,
-        "r2_rmse": report.r2_rmse,
-        "predicted_weight": report.predicted_weight,
-        "rows": [asdict(r) for r in report.rows],
-        "experiment_wall_time_s": report.wall_time,
-    }
+    extra = asdict(report)
+    extra["experiment_wall_time_s"] = extra.pop("wall_time")
     return text, extra
 
 
 def _cmd_master_eq(args) -> tuple[str, dict]:
-    p = args.p
-    if args.n is not None:
-        n = args.n
-    elif args.gamma is not None:
+    p, n = args.p, args.n
+    if n is None:  # the parser takes exactly one of --n and --gamma
         if not args.gamma > 0:
             raise UsageError(f"--gamma must be positive, got {args.gamma:g}")
         n = int(round(p / args.gamma))
-    else:
-        raise UsageError("master-eq needs either --n or --gamma")
     u = resolve_u(args.u) if args.kind == "mre" else None
     res = solve_master(_dist_spec(args, p), n, p, args.alpha, u=u, reps=args.reps,
                        seed=args.seed)
-    gamma = p / n
-    payload = {
-        "kind": res.kind,
-        "p": p,
-        "n": n,
-        "gamma": gamma,
-        "alpha": args.alpha,
-        "d_star": res.d_star,
-        "bracket": list(res.bracket),
-        "f_residual": res.f_residual,
-        "mc_reps": res.mc_reps,
-        "mc_stderr": res.mc_stderr,
-        "predicted_weight": res.predicted_weight,
-    }
+    payload = {"kind": res.kind, "p": p, "n": n, "gamma": p / n, "alpha": args.alpha}
+    payload.update((k, v) for k, v in asdict(res).items() if k not in ("kind", "q_star"))
     if res.kind == "TRE":
         # internal sanity: at the root, Q must equal 1/(1+alpha-gamma)
         payload["q_at_root"] = res.q_star
-        payload["tre_identity_gap"] = abs(res.q_star - 1.0 / (1.0 + args.alpha - gamma))
+        payload["tre_identity_gap"] = abs(res.q_star - 1.0 / (1.0 + args.alpha - p / n))
     return _json_text(payload), {}
 
 
@@ -266,13 +266,7 @@ def _cmd_sparse_cov(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     est = sparse_cov_estimate(data, args.c1, truth=truth, cfg=_solver_cfg(args))
-    extra = {
-        "method": est.method,
-        "threshold": est.parameter,
-        "input_norms": _norms_dict(est.input_norms),
-        "error_vs_truth": _norms_dict(est.error_vs_truth) if est.error_vs_truth else None,
-    }
-    return matrix_csv_text(est.matrix), extra
+    return matrix_csv_text(est.matrix), _sparse_extra(est, "threshold")
 
 
 def _cmd_clime(args) -> tuple[str, dict]:
@@ -286,13 +280,7 @@ def _cmd_clime(args) -> tuple[str, dict]:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
     out = clime_solve(proxy, args.lam, truth=truth, threads=args.threads)
-    extra = {
-        "method": out.method,
-        "lambda": out.parameter,
-        "input_norms": _norms_dict(out.input_norms),
-        "error_vs_truth": _norms_dict(out.error_vs_truth) if out.error_vs_truth else None,
-    }
-    return matrix_csv_text(out.matrix), extra
+    return matrix_csv_text(out.matrix), _sparse_extra(out, "lambda")
 
 
 def _cmd_diagnose(args) -> tuple[str, dict]:
@@ -338,7 +326,7 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     sp = sub.add_parser("estimate", formatter_class=fmt,
                         help="fit one estimator to a dataset CSV")
@@ -347,24 +335,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True, help="output JSON path")
     sp.add_argument("--u", default="rational", help="weight function: rational or huber:t")
     sp.add_argument("--alpha", type=float, default=1.0, help="regularization (reg kinds)")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=500)
+    _add_solver_args(sp)
     sp.set_defaults(func=_cmd_estimate)
 
     sp = sub.add_parser("simulate", formatter_class=fmt,
                         help="weight-deviation experiment over a dimension grid")
     sp.add_argument("--kind", choices=sorted(KIND_BY_NAME), required=True)
     _add_dist_args(sp, with_shape=False)
-    sp.add_argument("--u", default="rational")
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--u", default="rational",
+                    help="weight function for the maronna kinds: rational or huber:t")
+    sp.add_argument("--alpha", type=float, default=0.0, help="regularization (reg kinds)")
     sp.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 64,128,256")
     sp.add_argument("--ratio", type=int, default=2, help="n = ratio * p")
-    sp.add_argument("--reps", type=int, default=50)
+    sp.add_argument("--reps", type=int, default=50, help="seeded replicates per dimension")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=500)
-    sp.add_argument("--mc-reps", type=int, default=200)
+    _add_solver_args(sp)
+    sp.add_argument("--mc-reps", type=int, default=200,
+                    help="Monte-Carlo draws of the master equation per dimension (reg kinds)")
     sp.add_argument("--threads", type=int, default=1, help="worker threads")
     sp.set_defaults(func=_cmd_simulate)
 
@@ -372,12 +360,13 @@ def build_parser() -> _Parser:
                         help="solve the limiting-weight master equation")
     sp.add_argument("--kind", choices=["tre", "mre"], required=True)
     _add_dist_args(sp, with_shape=True)
-    sp.add_argument("--u", default="rational")
+    sp.add_argument("--u", default="rational", help="weight function for mre: rational or huber:t")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--gamma", type=float, default=None, help="p/n (alternative to --n)")
-    sp.add_argument("--reps", type=int, default=200)
+    size = sp.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, default=None)
+    size.add_argument("--gamma", type=float, default=None, help="p/n (alternative to --n)")
+    sp.add_argument("--reps", type=int, default=200, help="Monte-Carlo draws")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     sp.set_defaults(func=_cmd_master_eq)
@@ -388,8 +377,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--c1", type=float, required=True, help="threshold constant")
     sp.add_argument("--out", required=True, help="output CSV path (dense matrix)")
     sp.add_argument("--truth", default=None, help="optional CSV with the true shape matrix")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=500)
+    _add_solver_args(sp)
     sp.set_defaults(func=_cmd_sparse_cov)
 
     sp = sub.add_parser("clime", formatter_class=fmt,
@@ -397,10 +385,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--out", required=True, help="output CSV path (dense matrix)")
-    sp.add_argument("--proxy", choices=["tyler", "sample"], default="tyler")
+    sp.add_argument("--proxy", choices=["tyler", "sample"], default="tyler",
+                    help="shape proxy the l1 programs invert")
     sp.add_argument("--truth", default=None, help="optional CSV with the true inverse shape")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=500)
+    _add_solver_args(sp)
     sp.add_argument("--threads", type=int, default=1, help="worker threads")
     sp.set_defaults(func=_cmd_clime)
 
@@ -413,7 +401,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="required for synthetic draws")
-    sp.add_argument("--eps", type=float, default=0.01)
+    sp.add_argument("--eps", type=float, default=0.01,
+                    help="ridge of the Stieltjes diagnostic mean(1/(eig(S) + eps))")
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     sp.set_defaults(func=_cmd_diagnose)
 

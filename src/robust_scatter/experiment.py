@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms
-from .master_equation import MasterEquationResult, predicted_weight, solve_master
+from .master_equation import MasterEquationResult, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units
 from .samplers import DistributionSpec, derive_seed, sample
@@ -42,8 +42,9 @@ class ExperimentConfig:
 
     The sampling spec must be shape-free; the experiment runs at identity
     population shape, which keeps tau_p = 1 so every kind has a well-defined
-    limit weight. `mc_reps` sets the Monte-Carlo draws of the master-equation
-    solve that predicts the TRE/MRE limits (one solve per dimension).
+    limit weight (an ME u must cross phi = 1, at d0, for its limit 1/d0).
+    `mc_reps` sets the Monte-Carlo draws of the master-equation solve that
+    predicts the TRE/MRE limits (one solve per dimension).
     """
 
     kind: str
@@ -72,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("ratio must be at least 1")
         if self.kind in ("ME", "MRE") and self.u is None:
             raise ValueError(f"{self.kind} needs a u function")
+        if self.kind == "ME" and self.u.d0 is None:
+            raise ValueError(f"ME needs a u with a unit crossing d0, {self.u.name} has none")
         if self.kind in ("TRE", "MRE") and self.alpha <= 0:
             raise ValueError(f"{self.kind} needs alpha > 0")
         if self.dist.shape is not None:
@@ -102,23 +105,21 @@ class DimResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-dimension deviation statistics plus fitted log-log decay slopes.
-
-    ``predicted_weight`` is the limit at the largest dimension (constant
-    across dimensions for TE/ME; for TRE/MRE each row carries its own
-    master-equation prediction).
+    """Per-dimension deviation statistics plus fitted log-log decay slopes:
+    the `simulate` sidecar's keys, in order (``wall_time`` is written as
+    ``experiment_wall_time_s``). The six fit fields are None without a slope:
+    one dimension, or a mean deviation of 0 (every weight exactly at w*).
+    ``predicted_weight`` is w* at the largest dimension; each row has its own.
     """
 
-    kind: str
-    rows: Tuple[DimResult, ...]
-    slope_linf: float
-    intercept_linf: float
-    r2_linf: float
-    slope_rmse: float
-    intercept_rmse: float
-    r2_rmse: float
+    slope_linf: Optional[float]
+    intercept_linf: Optional[float]
+    r2_linf: Optional[float]
+    slope_rmse: Optional[float]
+    intercept_rmse: Optional[float]
+    r2_rmse: Optional[float]
     predicted_weight: float
-    base_seed: int
+    rows: Tuple[DimResult, ...]
     wall_time: float
 
 
@@ -129,17 +130,17 @@ def weight_deviations(weights: np.ndarray, w_star: float) -> Tuple[float, float]
 
 
 def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int,
-                  n: int) -> Optional[MasterEquationResult]:
-    """The master-equation solve behind the TRE/MRE limit weight; None for
-    TE and ME, whose limits are closed-form."""
-    if cfg.kind in ("TE", "ME"):
-        return None
-    return solve_master(
-        cfg.dist, n, p, cfg.alpha,
-        u=cfg.u if cfg.kind == "MRE" else None,
-        reps=cfg.mc_reps,
-        seed=derive_seed(cfg.base_seed, dim_index, cfg.reps),
-    )
+                  n: int) -> Tuple[float, Optional[MasterEquationResult]]:
+    """(w*, the master-equation solve behind it) at one dimension: TE 1/tau_p
+    = 1 at the identity shape the config enforces, ME 1/d0 (both closed-form,
+    no solve), TRE and MRE u(d*) from the master equation."""
+    if cfg.kind == "TE":
+        return 1.0, None
+    if cfg.kind == "ME":
+        return 1.0 / cfg.u.d0, None
+    master = solve_master(cfg.dist, n, p, cfg.alpha, u=cfg.u if cfg.kind == "MRE" else None,
+                          reps=cfg.mc_reps, seed=derive_seed(cfg.base_seed, dim_index, cfg.reps))
+    return master.predicted_weight, master
 
 
 def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
@@ -167,9 +168,7 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for k, p in enumerate(cfg.dims):
         n = cfg.ratio * p
         t_master = time.perf_counter()
-        master = _limit_weight(cfg, k, p, n)
-        w_star = (predicted_weight(cfg.kind, u=cfg.u, tau_p=1.0) if master is None
-                  else master.predicted_weight)
+        w_star, master = _limit_weight(cfg, k, p, n)
         master_eq_s = time.perf_counter() - t_master
         results = map_units(lambda rep: _replicate(cfg, k, p, n, rep, w_star),
                             range(cfg.reps), cfg.threads)
@@ -200,19 +199,17 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             master_eq_s=master_eq_s,
         ))
 
-    if len(rows) >= 2:
+    if len(rows) >= 2 and all(r.linf_mean > 0 and r.rmse_mean > 0 for r in rows):
         slope_l, icpt_l, r2_l = fit_loglog_slope([(r.p, r.linf_mean) for r in rows])
         slope_r, icpt_r, r2_r = fit_loglog_slope([(r.p, r.rmse_mean) for r in rows])
     else:
-        slope_l = icpt_l = r2_l = slope_r = icpt_r = r2_r = float("nan")
+        slope_l = icpt_l = r2_l = slope_r = icpt_r = r2_r = None
 
     return ExperimentReport(
-        kind=cfg.kind,
-        rows=tuple(rows),
         slope_linf=slope_l, intercept_linf=icpt_l, r2_linf=r2_l,
         slope_rmse=slope_r, intercept_rmse=icpt_r, r2_rmse=r2_r,
         predicted_weight=rows[-1].w_star,
-        base_seed=cfg.base_seed,
+        rows=tuple(rows),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -36,7 +36,6 @@ from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
 __all__ = [
     "MasterEquationResult",
     "solve_master",
-    "predicted_weight",
     "QMonteCarlo",
 ]
 
@@ -49,6 +48,7 @@ class MasterEquationResult:
     left endpoint, < 1 at the right, on the frozen draws); ``f_residual`` is
     |F(d_star) - 1| on the same draws. ``q_star`` is the Monte-Carlo Q at
     ``d_star`` and ``mc_stderr`` its standard error (of Q, not of d_star).
+    ``predicted_weight`` is the limit weight u(d_star) (1/d_star for TRE).
     """
 
     d_star: float
@@ -187,28 +187,3 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
         kind=kind,
         q_star=q_star,
     )
-
-
-def predicted_weight(kind: str, u: Optional[UFunction] = None,
-                     d_star: Optional[float] = None,
-                     tau_p: Optional[float] = None) -> float:
-    """Limiting weight for each estimator kind.
-
-    TE: 1/tau_p;  ME: 1/phi^{-1}(1);  MRE: u(d*);  TRE: 1/d*, the MRE rule
-    with u = ``tyler_u()``.
-    """
-    kind = kind.upper()
-    if kind == "TE":
-        if tau_p is None:
-            raise ValueError("TE prediction needs tau_p = p^{-1} Tr Sigma_p")
-        return 1.0 / tau_p
-    if kind == "ME":
-        if u is None or u.d0 is None:
-            raise ValueError("ME prediction needs a u function with a unit crossing d0")
-        return 1.0 / u.d0
-    if kind in ("TRE", "MRE"):
-        u = tyler_u() if kind == "TRE" else u
-        if u is None or d_star is None:
-            raise ValueError(f"{kind} prediction needs d_star (and u for MRE)")
-        return float(u.u(np.asarray(d_star, dtype=float)))
-    raise ValueError(f"unknown estimator kind {kind!r}")

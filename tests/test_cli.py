@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import robust_scatter
 from robust_scatter import (DistributionSpec, fit, load_dataset_csv, rational_u, sample,
                              save_matrix_csv)
-from robust_scatter.cli import estimate_to_dict, main
+from robust_scatter.cli import build_parser, estimate_to_dict, main
 
 
 @pytest.fixture
@@ -23,6 +24,15 @@ def data_csv(tmp_path):
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads_strict(text):
+    """Parse standard JSON: NaN and Infinity raise."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestEstimate:
@@ -88,8 +98,10 @@ class TestSimulate:
         assert len(lines) == 3
         assert lines[1].startswith("16,32,") and lines[2].startswith("32,64,")
         side = json.loads((tmp_path / "fig.csv.meta.json").read_text())
-        for key in ("slope_linf", "slope_rmse", "predicted_weight"):
-            assert key in side
+        assert list(side) == ["command", "version", "config", "wall_time_s",
+                              "slope_linf", "intercept_linf", "r2_linf",
+                              "slope_rmse", "intercept_rmse", "r2_rmse",
+                              "predicted_weight", "rows", "experiment_wall_time_s", "blas"]
         assert "failures" not in side  # rows[].failures is the one copy
         assert [r["p"] for r in side["rows"]] == [16, 32]
         assert side["rows"][0]["n"] == 32 and "linf_mean" in side["rows"][0]
@@ -116,6 +128,32 @@ class TestSimulate:
         run(*args, "--out", tmp_path / "b.csv", "--threads", "3")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        # Huber t = 2 at n = 2p: every d_i(S) = n h_ii / p <= n/p = 2 <= t, so u = 1
+        # on every row, S solves the ME equation and every weight sits at w* = 1
+        ("--kind", "maronna", "--u", "huber", "--dims", "16,32"),
+        ("--kind", "tyler", "--dims", "24"),
+    ], ids=["zero-deviation", "single-dim"])
+    def test_undefined_slopes_are_null(self, flags, tmp_path):
+        out = tmp_path / "fig.csv"
+        assert run("simulate", *flags, "--reps", "2", "--seed", "6", "--out", out) == 0
+        side = loads_strict(Path(f"{out}.meta.json").read_text())
+        for key in ("slope_linf", "intercept_linf", "r2_linf",
+                    "slope_rmse", "intercept_rmse", "r2_rmse"):
+            assert side[key] is None
+        if "huber" in flags:
+            assert all(r["linf_mean"] == r["rmse_mean"] == 0.0 for r in side["rows"])
+            assert side["predicted_weight"] == 1.0
+
+    def test_me_without_unit_crossing_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "fig.csv"
+        assert run("simulate", "--kind", "maronna", "--u", "huber:0.5", "--dims", "16,32",
+                   "--reps", "2", "--seed", "6", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unit crossing" in err
+        assert err.count("\n") == 1
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
     def test_regularized_rows_report_the_master_equation(self, tmp_path):
         out = tmp_path / "reg.csv"
         assert run("simulate", "--kind", "tyler-reg", "--alpha", "1", "--mc-reps", "30",
@@ -137,10 +175,32 @@ class TestMasterEq:
         assert doc["predicted_weight"] == pytest.approx(1.0 / doc["d_star"])
         assert doc["n"] == 80
 
+    @pytest.mark.parametrize("kind,flags,extra", [
+        ("tre", ("--gamma", "0.5"), ["q_at_root", "tre_identity_gap"]),
+        ("mre", ("--n", "60", "--dist", "laplace"), []),
+    ], ids=["tre", "mre"])
+    def test_payload_keys_in_order(self, kind, flags, extra, capsys):
+        assert run("master-eq", "--kind", kind, "--alpha", "1", "--p", "20", *flags,
+                   "--reps", "20", "--seed", "3") == 0
+        doc = loads_strict(capsys.readouterr().out)
+        assert list(doc) == ["kind", "p", "n", "gamma", "alpha", "d_star", "bracket",
+                             "f_residual", "mc_reps", "mc_stderr", "predicted_weight", *extra]
+        assert doc["kind"] == kind.upper() and doc["mc_reps"] == 20
+
     def test_needs_n_or_gamma(self, capsys):
         rc = run("master-eq", "--kind", "tre", "--alpha", "1",
                  "--dist", "gaussian", "--p", "40", "--seed", "3")
         assert rc == 1
+        assert "one of the arguments --n --gamma is required" in capsys.readouterr().err
+
+    def test_n_and_gamma_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "meq.json"
+        rc = run("master-eq", "--kind", "tre", "--alpha", "1", "--n", "100", "--gamma", "0.5",
+                 "--dist", "gaussian", "--p", "40", "--seed", "3", "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not allowed with argument --n" in err
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
     @pytest.mark.parametrize("gamma", ["0", "-0.5"])
     def test_gamma_must_be_positive(self, gamma, capsys):
@@ -384,6 +444,22 @@ def test_help_lists_commands(capsys):
     text = capsys.readouterr().out
     for cmd in ("estimate", "simulate", "master-eq", "sparse-cov", "clime", "diagnose"):
         assert cmd in text
+
+
+def test_help_shows_every_default():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {name: " ".join(sp.format_help().split()) for name, sp in sub.choices.items()}
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.option_strings and action.default not in (None, argparse.SUPPRESS):
+                assert f"(default: {action.default})" in helps[name], (name, action.dest)
+    # `diagnose` marks its sampling flags not given with None, but shows what a draw uses
+    for shown in ("distribution family (default: gaussian)",
+                  "for permuted-smoothed (default: 0.01)",
+                  "pareto:a (default: constant:1)",
+                  "every coordinate (default: 0.0)"):
+        assert shown in helps["diagnose"]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

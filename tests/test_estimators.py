@@ -15,7 +15,6 @@ from robust_scatter import (
     make_ufunction,
     maronna,
     maronna_regularized,
-    predicted_weight,
     rational_u,
     resolve_u,
     sample,
@@ -293,9 +292,6 @@ class TestFit:
         mre = maronna_regularized(data, tyler_u(), 0.5)
         assert np.array_equal(tre.matrix.entries, mre.matrix.entries)
         assert np.array_equal(tre.weights, mre.weights)
-        for d_star in (0.3, 0.75, 1.9):
-            assert (predicted_weight("TRE", d_star=d_star)
-                    == predicted_weight("MRE", u=tyler_u(), d_star=d_star))
 
 
 class TestInterferenceFunction:

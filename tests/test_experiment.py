@@ -9,6 +9,8 @@ from robust_scatter import (
     derive_seed,
     eigen_bounds_diag,
     fit_loglog_slope,
+    huber_u,
+    make_ufunction,
     quadratic_form_diagnostics,
     rational_u,
     sample,
@@ -54,7 +56,7 @@ class TestWeightDeviationExperiment:
         row = rep.rows[0]
         assert (row.p, row.n) == (16, 32)
         assert row.linf_stderr == 0.0 and row.rmse_stderr == 0.0
-        assert np.isnan(rep.slope_linf)
+        assert rep.slope_linf is None  # one dimension: no slope
 
     def test_rmse_never_exceeds_linf(self):
         rng = np.random.default_rng(1)
@@ -103,11 +105,25 @@ class TestWeightDeviationExperiment:
         assert rep.predicted_weight > 1.0  # d* < 1 at alpha=1, identity shape
         assert all(r.failures == 0 for r in rep.rows)
 
+    def test_me_limit_is_one_over_the_unit_crossing(self):
+        # phi(x) = 3x/(1+x) crosses 1 at d0 = 1/2, so every weight tends to 2
+        u = make_ufunction(lambda x: 3.0 / (1.0 + x))
+        assert u.d0 == pytest.approx(0.5, rel=1e-9)
+        cfg = ExperimentConfig(kind="ME", dist=GAUSS, dims=(16, 32), reps=3, base_seed=2, u=u)
+        rep = weight_deviation_experiment(cfg)
+        assert rep.predicted_weight == 1.0 / u.d0 == pytest.approx(2.0, rel=1e-9)
+        assert all(r.w_star == rep.predicted_weight for r in rep.rows)
+        # deviations from w* = 1 would be about 1; around 2 they are a fifth of that
+        assert all(r.rmse_mean < 0.5 for r in rep.rows)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="TE", dist=GAUSS, dims=(32, 16))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ME", dist=GAUSS, dims=(16,))  # no u
+        with pytest.raises(ValueError, match="unit crossing"):
+            # phi = min(x, 1/2) never reaches 1: ME has no limit weight
+            ExperimentConfig(kind="ME", dist=GAUSS, dims=(16,), u=huber_u(0.5))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,))  # no alpha
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from robust_scatter import (
     ScatterMatrix,
     derive_seed,
     make_ufunction,
-    predicted_weight,
     rational_u,
     sample,
     solve_master,
@@ -193,25 +192,3 @@ class TestSolveMaster:
             solve_master(GAUSS, 50, 100, alpha=0.5, u=None, reps=10, seed=0)
         with pytest.raises(ExistenceError):
             solve_master(GAUSS, 100, 50, alpha=-1.0, u=rational_u(), reps=10, seed=0)
-
-
-class TestPredictedWeight:
-    def test_known_values(self):
-        assert predicted_weight("ME", u=rational_u()) == 1.0
-        assert predicted_weight("TE", tau_p=1.0) == 1.0
-        assert predicted_weight("TE", tau_p=2.0) == 0.5  # Sigma_p = diag(1, 3)
-        assert predicted_weight("TRE", d_star=0.8) == pytest.approx(1.25)
-        u = rational_u()
-        assert predicted_weight("MRE", u=u, d_star=1.0) == pytest.approx(1.0)
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError):
-            predicted_weight("TE")
-        with pytest.raises(ValueError):
-            predicted_weight("ME")
-        with pytest.raises(ValueError):
-            predicted_weight("TRE")
-        with pytest.raises(ValueError):
-            predicted_weight("MRE", u=rational_u())
-        with pytest.raises(ValueError):
-            predicted_weight("XX", d_star=1.0)

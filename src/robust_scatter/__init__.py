@@ -19,7 +19,6 @@ from .estimators import (
     SolverConfig,
     UFunction,
     fit,
-    fixed_point_residual,
     huber_u,
     interference_h,
     make_ufunction,
@@ -28,10 +27,8 @@ from .estimators import (
     rational_u,
     resolve_u,
     tyler,
-    tyler_objective,
     tyler_regularized,
     tyler_u,
-    weights_from_matrix,
 )
 from .experiment import (
     ExperimentConfig,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -149,15 +150,26 @@ def estimate_to_dict(est: ScatterEstimate, n: int) -> dict:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: a finite number, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
     sp.add_argument("--dist", choices=sorted(DIST_BY_NAME), default=_DIST_DEFAULTS["dist"],
                     help="sampling distribution family")
-    sp.add_argument("--sigma", type=float, default=_DIST_DEFAULTS["sigma"],
+    sp.add_argument("--sigma", type=_finite_float, default=_DIST_DEFAULTS["sigma"],
                     help="smoothing level for permuted-smoothed")
     sp.add_argument("--radial", default=_DIST_DEFAULTS["radial"],
                     help="radial law for elliptical: constant:c, chi:k or pareto:a")
     if with_mean:
-        sp.add_argument("--mean", type=float, default=_DIST_DEFAULTS["mean"],
+        sp.add_argument("--mean", type=_finite_float, default=_DIST_DEFAULTS["mean"],
                         help="constant mean added to every coordinate")
     if with_shape:
         sp.add_argument("--shape-file", default=_DIST_DEFAULTS["shape_file"],
@@ -165,17 +177,17 @@ def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
 
 
 def _add_solver_args(sp) -> None:
-    sp.add_argument("--tol", type=float, default=1e-10,
+    sp.add_argument("--tol", type=_finite_float, default=1e-10,
                     help="stop once the defining-equation residual is at most this")
     sp.add_argument("--max-iter", type=int, default=500,
                     help="map evaluations allowed per solve")
 
 
 def _parse_radial(text: str) -> RadialLaw:
+    kind, _, arg = text.partition(":")
     try:
-        kind, _, arg = text.partition(":")
-        return RadialLaw(kind, float(arg if arg else 1.0))
-    except ValueError as exc:
+        return RadialLaw(kind, _finite_float(arg) if arg else 1.0)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad --radial value {text!r}: {exc}") from None
 
 
@@ -230,8 +242,7 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         base_seed=args.seed,
         u=resolve_u(args.u) if kind in ("ME", "MRE") else None,
         alpha=args.alpha,
-        tol=args.tol,
-        max_iter=args.max_iter,
+        solver=_solver_cfg(args),
         mc_reps=args.mc_reps,
         threads=args.threads,
     )
@@ -334,7 +345,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--input", required=True, help="dataset CSV (n rows, p columns)")
     sp.add_argument("--out", required=True, help="output JSON path")
     sp.add_argument("--u", default="rational", help="weight function: rational or huber:t")
-    sp.add_argument("--alpha", type=float, default=1.0, help="regularization (reg kinds)")
+    sp.add_argument("--alpha", type=_finite_float, default=1.0, help="regularization (reg kinds)")
     _add_solver_args(sp)
     sp.set_defaults(func=_cmd_estimate)
 
@@ -344,7 +355,7 @@ def build_parser() -> _Parser:
     _add_dist_args(sp, with_shape=False)
     sp.add_argument("--u", default="rational",
                     help="weight function for the maronna kinds: rational or huber:t")
-    sp.add_argument("--alpha", type=float, default=0.0, help="regularization (reg kinds)")
+    sp.add_argument("--alpha", type=_finite_float, default=0.0, help="regularization (reg kinds)")
     sp.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 64,128,256")
     sp.add_argument("--ratio", type=int, default=2, help="n = ratio * p")
     sp.add_argument("--reps", type=int, default=50, help="seeded replicates per dimension")
@@ -361,11 +372,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--kind", choices=["tre", "mre"], required=True)
     _add_dist_args(sp, with_shape=True)
     sp.add_argument("--u", default="rational", help="weight function for mre: rational or huber:t")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--p", type=int, required=True)
     size = sp.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, default=None)
-    size.add_argument("--gamma", type=float, default=None, help="p/n (alternative to --n)")
+    size.add_argument("--gamma", type=_finite_float, default=None, help="p/n (alternative to --n)")
     sp.add_argument("--reps", type=int, default=200, help="Monte-Carlo draws")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
@@ -374,7 +385,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sparse-cov", formatter_class=fmt,
                         help="hard-thresholded Tyler estimate of a sparse shape matrix")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--c1", type=float, required=True, help="threshold constant")
+    sp.add_argument("--c1", type=_finite_float, required=True, help="threshold constant")
     sp.add_argument("--out", required=True, help="output CSV path (dense matrix)")
     sp.add_argument("--truth", default=None, help="optional CSV with the true shape matrix")
     _add_solver_args(sp)
@@ -383,7 +394,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("clime", formatter_class=fmt,
                         help="sparse inverse-shape estimation via column-wise l1 programs")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     sp.add_argument("--out", required=True, help="output CSV path (dense matrix)")
     sp.add_argument("--proxy", choices=["tyler", "sample"], default="tyler",
                     help="shape proxy the l1 programs invert")
@@ -401,7 +412,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="required for synthetic draws")
-    sp.add_argument("--eps", type=float, default=0.01,
+    sp.add_argument("--eps", type=_finite_float, default=0.01,
                     help="ridge of the Stieltjes diagnostic mean(1/(eig(S) + eps))")
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     sp.set_defaults(func=_cmd_diagnose)

@@ -18,16 +18,16 @@ u(d), rescaled for TE, and the map is d -> quad_forms(x, Sigma(d)); d is a
 fixed point iff Sigma(d) solves the estimator equation. The weighted
 covariance is formed as B^T B with B = x * sqrt(w/n) row-wise, which numpy
 hands to SYRK: half the flops of a general product, and exactly symmetric.
-The solver iterates y = log d from the forms at the identity (or a
-caller-supplied SPD start), mixing each step over the last few map values
-by Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011). A mixed
-step that raises the RMS log-residual is replaced by the plain step from
-the last accepted point, and the history is cleared. Zero samples (legal
-for ME/MRE) keep d = 0 outside the mixing. Once the RMS log-residual is
-below the tolerance, the relative defining-equation residual is computed
-at Sigma(d), and ``converged`` means it is below the tolerance too.
-``iterations`` counts map evaluations. Non-convergence is reported through
-the ``converged`` flag rather than an exception.
+The solver iterates y = log d from the forms at the identity, mixing each
+step over the last few map values by Anderson acceleration (Walker & Ni,
+SIAM J. Numer. Anal. 2011). A mixed step that raises the RMS log-residual
+is replaced by the plain step from the last accepted point, and the
+history is cleared. Zero samples (legal for ME/MRE) keep d = 0 outside the
+mixing. Once the RMS log-residual is below the tolerance, the relative
+defining-equation residual is computed at Sigma(d), and ``converged``
+means it is below the tolerance too. ``iterations`` counts map
+evaluations. Non-convergence is reported through the ``converged`` flag
+rather than an exception. ``interference_h`` exposes the ME map itself.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ __all__ = [
     "maronna_regularized",
     "fit",
     "interference_h",
-    "tyler_objective",
-    "fixed_point_residual",
-    "weights_from_matrix",
     "quad_forms",
 ]
 
@@ -116,8 +113,8 @@ def huber_u(t: float = 2.0) -> UFunction:
     phi(x) = min(x, t), so phi_inf = t and the unit crossing is at 1
     provided t > 1.
     """
-    if t <= 0:
-        raise ValueError("huber threshold t must be positive")
+    if not 0 < t < math.inf:  # t = inf would give u = inf/inf = NaN
+        raise ValueError("huber threshold t must be positive and finite")
 
     def u(x):
         x = np.asarray(x, dtype=float)
@@ -192,10 +189,9 @@ def resolve_u(name: str) -> UFunction:
 class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 500
-    init: Optional[ScatterMatrix] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -301,14 +297,7 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     x = np.ascontiguousarray(data.samples)
     n, p = x.shape
 
-    if cfg.init is not None:
-        if cfg.init.p != p:
-            raise ValueError(f"init matrix is {cfg.init.p}x{cfg.init.p}, expected p={p}")
-        cfg.init.require_spd("init matrix")
-        start = cfg.init.entries
-    else:
-        start = np.eye(p)
-    d0 = quad_forms(x, start)
+    d0 = quad_forms(x, np.eye(p))
     live = d0 > 0  # zero samples (legal for ME/MRE) keep d = 0 outside the mixing
 
     evals = 0
@@ -402,7 +391,7 @@ def tyler_regularized(data: Dataset, alpha: float,
                       cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Regularized Tyler estimator; needs alpha > max(0, p/n - 1) and no zero sample."""
     gamma = data.p / data.n
-    if alpha <= max(0.0, gamma - 1.0):
+    if not alpha > max(0.0, gamma - 1.0):
         raise ExistenceError(
             f"TRE needs alpha > max(0, p/n - 1) = {max(0.0, gamma - 1.0):g}, got {alpha:g}"
         )
@@ -413,7 +402,7 @@ def tyler_regularized(data: Dataset, alpha: float,
 def maronna_regularized(data: Dataset, u: UFunction, alpha: float,
                         cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Regularized Maronna estimator; exists uniquely for any alpha > 0."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ExistenceError(f"MRE needs alpha > 0, got {alpha:g}")
     return _solve("MRE", data, u, alpha, cfg)
 
@@ -438,7 +427,7 @@ def fit(kind: str, data: Dataset, u: Optional[UFunction] = None, alpha: float = 
 
 
 # ---------------------------------------------------------------------------
-# analysis helpers
+# the Maronna interference function
 # ---------------------------------------------------------------------------
 
 def interference_h(d: np.ndarray, data: Dataset, u: UFunction) -> np.ndarray:
@@ -451,47 +440,9 @@ def interference_h(d: np.ndarray, data: Dataset, u: UFunction) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (data.n,):
         raise ValueError(f"d must have shape ({data.n},), got {d.shape}")
-    if np.any(d <= 0):
+    if not np.all(d > 0):
         raise ValueError("d must be strictly positive componentwise")
     if data.n <= data.p:
         raise ValueError("interference function needs n > p")
     return _d_map("ME", data.samples, d, u.u, 0.0)[1]
 
-
-def tyler_objective(w: np.ndarray, data: Dataset) -> float:
-    """-sum_i log w_i + (n/p) log det(sum_i w_i x_i x_i^T) on the simplex
-    {w > 0, sum w_i = n}; Tyler's weights minimize it up to normalization."""
-    w = np.asarray(w, dtype=float)
-    n, p = data.n, data.p
-    if w.shape != (n,):
-        raise ValueError(f"w must have shape ({n},), got {w.shape}")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
-    if abs(float(w.sum()) - n) > 1e-8:
-        raise ValueError(f"weights must sum to n={n} (got {w.sum():.12g})")
-    x = data.samples
-    m = x.T @ (x * w[:, None])
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("weighted sum sum_i w_i x_i x_i^T is singular")
-    return float(-np.log(w).sum() + (n / p) * logdet)
-
-
-def weights_from_matrix(kind: str, data: Dataset, matrix: ScatterMatrix,
-                        u: Optional[UFunction] = None) -> np.ndarray:
-    """Weights the defining equation of `kind` assigns to `matrix` on `data`."""
-    if kind in ("TE", "TRE"):
-        u = tyler_u()
-    elif u is None:
-        raise ValueError(f"kind {kind} needs a u function to recompute weights")
-    return np.asarray(u.u(quad_forms(data.samples, matrix.entries)), dtype=float)
-
-
-def fixed_point_residual(est: ScatterEstimate, data: Dataset) -> float:
-    """Relative Frobenius residual of est.matrix in the defining equation of
-    est.kind; zero exactly at a fixed point."""
-    if est.matrix.p != data.p:
-        raise ValueError(f"estimate is {est.matrix.p}-dimensional but data has p={data.p}")
-    w = weights_from_matrix(est.kind, data, est.matrix, est.u)
-    rhs = _defining_rhs(est.kind, data.samples, w, est.alpha)
-    return _relfrob(est.matrix.entries - rhs, est.matrix.entries)

@@ -43,8 +43,9 @@ class ExperimentConfig:
     The sampling spec must be shape-free; the experiment runs at identity
     population shape, which keeps tau_p = 1 so every kind has a well-defined
     limit weight (an ME u must cross phi = 1, at d0, for its limit 1/d0).
-    `mc_reps` sets the Monte-Carlo draws of the master-equation solve that
-    predicts the TRE/MRE limits (one solve per dimension).
+    `solver` configures every replicate's solve. `mc_reps` sets the
+    Monte-Carlo draws of the master-equation solve that predicts the TRE/MRE
+    limits (one solve per dimension).
     """
 
     kind: str
@@ -55,8 +56,7 @@ class ExperimentConfig:
     base_seed: int = 0
     u: Optional[UFunction] = None
     alpha: float = 0.0
-    tol: float = 1e-10
-    max_iter: int = 500
+    solver: SolverConfig = SolverConfig()
     mc_reps: int = 200
     threads: int = 1
 
@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} needs a u function")
         if self.kind == "ME" and self.u.d0 is None:
             raise ValueError(f"ME needs a u with a unit crossing d0, {self.u.name} has none")
-        if self.kind in ("TRE", "MRE") and self.alpha <= 0:
+        if self.kind in ("TRE", "MRE") and not self.alpha > 0:
             raise ValueError(f"{self.kind} needs alpha > 0")
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
@@ -149,7 +149,7 @@ def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
     the solve fails."""
     seed = derive_seed(cfg.base_seed, dim_index, rep)
     data = sample(cfg.dist, n, p, seed)
-    est = fit(cfg.kind, data, cfg.u, cfg.alpha, SolverConfig(tol=cfg.tol, max_iter=cfg.max_iter))
+    est = fit(cfg.kind, data, cfg.u, cfg.alpha, cfg.solver)
     if not est.converged:
         return None
     return (*weight_deviations(est.weights, w_star), est.iterations)
@@ -295,7 +295,7 @@ def stieltjes_diag(data: Dataset, eps: float) -> float:
     For isotropic data with gamma = p/n < 1 and small eps this approaches
     1/(1-gamma), the Marchenko-Pastur Stieltjes transform at zero.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     s = sample_covariance(data).entries
     lam = np.linalg.eigvalsh(s)

@@ -128,10 +128,10 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
     gamma = p / n
-    if alpha <= 0:
+    if not alpha > 0:
         raise ExistenceError(f"alpha must be positive, got {alpha:g}")
     if u is None:
-        if alpha <= max(0.0, gamma - 1.0):
+        if not alpha > max(0.0, gamma - 1.0):
             raise ExistenceError(
                 f"TRE master equation needs alpha > max(0, gamma-1) = "
                 f"{max(0.0, gamma - 1.0):g}, got {alpha:g}"

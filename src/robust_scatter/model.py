@@ -82,18 +82,6 @@ class ScatterMatrix:
     def p(self) -> int:
         return self.entries.shape[0]
 
-    def is_spd(self) -> bool:
-        """True when a Cholesky factorization succeeds."""
-        try:
-            np.linalg.cholesky(self.entries)
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
-    def require_spd(self, what: str = "matrix") -> None:
-        if not self.is_spd():
-            raise ValueError(f"{what} is not symmetric positive definite")
-
     def trace(self) -> float:
         return float(np.trace(self.entries))
 

@@ -68,11 +68,11 @@ class RadialLaw:
     def __post_init__(self):
         if self.kind not in ("constant", "chi", "pareto"):
             raise ValueError(f"unknown radial law {self.kind!r}")
-        if self.param <= 0:
+        if not self.param > 0:
             raise ValueError("radial law parameter must be positive")
-        if self.kind == "pareto" and self.param <= 2:
+        if self.kind == "pareto" and not self.param > 2:
             raise ValueError("pareto radial law needs tail index > 2 (finite second moment)")
-        if self.kind == "chi" and self.param < 1:
+        if self.kind == "chi" and not self.param >= 1:
             raise ValueError("chi radial law needs at least 1 degree of freedom")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -104,7 +104,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "permuted-smoothed" and self.sigma_smooth <= 0:
+        if self.family == "permuted-smoothed" and not self.sigma_smooth > 0:
             raise ValueError("sigma_smooth must be positive")
         if self.family == "elliptical" and self.radial_law is None:
             raise ValueError("elliptical family requires a radial_law")

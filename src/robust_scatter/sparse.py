@@ -49,7 +49,7 @@ class SparseEstimate:
 def hard_threshold(m: np.ndarray, t: float) -> np.ndarray:
     """Zero the entries with |m_ij| < t; entries with |m_ij| >= t are kept
     exactly (the boundary is kept). Idempotent."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold t must be nonnegative")
     a = np.asarray(m, dtype=float)
     return np.where(np.abs(a) >= t, a, 0.0)
@@ -57,11 +57,11 @@ def hard_threshold(m: np.ndarray, t: float) -> np.ndarray:
 
 def choose_threshold(n: float, p: float, scale: float, c1: float) -> float:
     """t = c1 * scale * sqrt(log(p) / n), with `scale` an operator-norm proxy."""
-    if n < 1 or p <= 1:
+    if not (n >= 1 and p > 1):
         raise ValueError("need n >= 1 and p > 1")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
-    if c1 < 0:
+    if not c1 >= 0:
         raise ValueError("c1 must be nonnegative")
     return float(c1 * scale * math.sqrt(math.log(p) / n))
 
@@ -92,7 +92,7 @@ def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     rows) and the HiGHS dual simplex behind `solve_lp`. Raises
     InfeasibleError when no w satisfies the constraint at this lambda.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     p = s_hat.p
     if not 0 <= j < p:

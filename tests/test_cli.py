@@ -85,6 +85,25 @@ class TestEstimate:
         assert rc == 1
         assert "column 2" in capsys.readouterr().err
 
+    def test_infinite_huber_threshold_exits_1(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        assert run("estimate", "--kind", "maronna", "--u", "huber:inf", "--input", data_csv,
+                   "--out", out) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "error: huber threshold t must be positive and finite\n"
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+    def test_existence_error_exits_1(self, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        save_matrix_csv(np.random.default_rng(1).standard_normal((4, 6)), wide)
+        out = tmp_path / "e.json"
+        assert run("estimate", "--kind", "tyler", "--input", wide, "--out", out) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "error: Tyler's estimator needs n > p (got n=4, p=6)\n"
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
 
 class TestSimulate:
     def test_csv_rows_and_sidecar_slopes(self, tmp_path):
@@ -153,6 +172,19 @@ class TestSimulate:
         assert err.startswith("error: ") and "unit crossing" in err
         assert err.count("\n") == 1
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+    def test_bad_solver_flag_fails_before_the_master_equation(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        solve_master = robust_scatter.experiment.solve_master
+        monkeypatch.setattr(robust_scatter.experiment, "solve_master",
+                            lambda *a, **k: calls.append(1) or solve_master(*a, **k))
+        out = tmp_path / "reg.csv"
+        assert run("simulate", "--kind", "tyler-reg", "--alpha", "1", "--tol", "0",
+                   "--dims", "12,24", "--reps", "2", "--seed", "4", "--out", out) == 1
+        assert "tol must be positive" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_regularized_rows_report_the_master_equation(self, tmp_path):
         out = tmp_path / "reg.csv"
@@ -300,6 +332,35 @@ def test_mean_only_on_diagnose(command, flag, rc, data_csv, tmp_path, capsys):
     assert run(*args, *flag) == rc
     err = capsys.readouterr().err
     assert (f"unrecognized arguments: {' '.join(flag)}" in err) == (rc == 1)
+
+
+ELLIPTICAL_RADIAL = ("--dist", "elliptical", "--radial", "chi:{}")
+NON_FINITE_FLAGS = [
+    ("estimate", ("--alpha", "{}")), ("estimate", ("--tol", "{}")),
+    ("simulate", ("--alpha", "{}")), ("simulate", ("--tol", "{}")),
+    ("simulate", ("--sigma", "{}")), ("simulate", ELLIPTICAL_RADIAL),
+    ("master-eq", ("--alpha", "{}")), ("master-eq", ("--gamma", "{}")),
+    ("master-eq", ("--sigma", "{}")), ("master-eq", ELLIPTICAL_RADIAL),
+    ("sparse-cov", ("--c1", "{}")), ("sparse-cov", ("--tol", "{}")),
+    ("clime", ("--lambda", "{}")), ("clime", ("--tol", "{}")),
+    ("diagnose", ("--eps", "{}")), ("diagnose", ("--sigma", "{}")),
+    ("diagnose", ("--mean", "{}")), ("diagnose", ELLIPTICAL_RADIAL),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flags", NON_FINITE_FLAGS,
+                         ids=[f"{c}{f[-2]}" for c, f in NON_FINITE_FLAGS])
+def test_non_finite_float_flag_exits_1(command, flags, value, data_csv, tmp_path, capsys):
+    args = _commands(data_csv, tmp_path)[command]
+    if command == "diagnose":  # synthetic draws: the sampling flags are read
+        args = ("diagnose", "--p", "10", "--n", "30", "--seed", "1", *args[-2:])
+    assert run(*args, *(f.format(value) for f in flags)) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert f"expected a finite number, got {value!r}" in cap.err
+    assert not Path(args[-1]).exists() and not Path(f"{args[-1]}.meta.json").exists()
 
 
 class TestThreads:

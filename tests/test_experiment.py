@@ -6,6 +6,7 @@ from robust_scatter import (
     Dataset,
     DistributionSpec,
     ExperimentConfig,
+    SolverConfig,
     derive_seed,
     eigen_bounds_diag,
     fit_loglog_slope,
@@ -94,8 +95,8 @@ class TestWeightDeviationExperiment:
 
     def test_failures_abort(self):
         cfg = ExperimentConfig(kind="TE", dist=GAUSS, dims=(16,), reps=3,
-                               base_seed=5, max_iter=1)
-        with pytest.raises(ConvergenceError):
+                               base_seed=5, solver=SolverConfig(max_iter=1))
+        with pytest.raises(ConvergenceError, match="3/3 replicates"):
             weight_deviation_experiment(cfg)
 
     def test_regularized_kind_uses_master_equation(self):
@@ -128,6 +129,8 @@ class TestWeightDeviationExperiment:
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,))  # no alpha
         with pytest.raises(ValueError):
             ExperimentConfig(kind="XX", dist=GAUSS, dims=(16,))
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,), alpha=float("nan"))
 
 
 class TestQuadraticFormDiagnostics:
@@ -168,8 +171,9 @@ class TestStieltjes:
         data = Dataset(np.ones((3, 5)))  # rank 1, p > n
         with pytest.raises(np.linalg.LinAlgError):
             stieltjes_diag(data, 0.0)
-        with pytest.raises(ValueError):
-            stieltjes_diag(data, -0.1)
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                stieltjes_diag(data, eps)
 
 
 class TestEigenBounds:

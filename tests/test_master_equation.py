@@ -192,3 +192,6 @@ class TestSolveMaster:
             solve_master(GAUSS, 50, 100, alpha=0.5, u=None, reps=10, seed=0)
         with pytest.raises(ExistenceError):
             solve_master(GAUSS, 100, 50, alpha=-1.0, u=rational_u(), reps=10, seed=0)
+        for u in (None, rational_u()):
+            with pytest.raises(ExistenceError, match="alpha must be positive"):
+                solve_master(GAUSS, 100, 50, alpha=float("nan"), u=u, reps=10, seed=0)

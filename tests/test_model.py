@@ -147,12 +147,6 @@ class TestDatasetAndScatterMatrix:
         m = ScatterMatrix([[1.0, 2.0], [0.0, 1.0]])
         np.testing.assert_allclose(m.entries, m.entries.T)
 
-    def test_spd_check(self):
-        assert ScatterMatrix(np.eye(3)).is_spd()
-        assert not ScatterMatrix(np.diag([1.0, -1.0])).is_spd()
-        with pytest.raises(ValueError):
-            ScatterMatrix(np.diag([1.0, 0.0])).require_spd()
-
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -31,6 +31,11 @@ class TestFamilies:
         with pytest.raises(ValueError):
             sample(DistributionSpec("permuted-smoothed"), 10, 5, seed=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, float("nan")])
+    def test_permuted_smoothed_requires_positive_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma_smooth must be positive"):
+            DistributionSpec("permuted-smoothed", sigma_smooth=sigma)
+
     def test_permuted_smoothed_rows_near_cube(self):
         spec = DistributionSpec("permuted-smoothed", sigma_smooth=0.01)
         data = sample(spec, 50, 8, seed=1)
@@ -63,6 +68,9 @@ class TestFamilies:
             RadialLaw("constant", 0.0)
         with pytest.raises(ValueError):
             RadialLaw("cauchy", 1.0)
+        for kind in ("constant", "chi", "pareto"):
+            with pytest.raises(ValueError, match="must be positive"):
+                RadialLaw(kind, float("nan"))
 
     def test_elliptical_needs_radial_law(self):
         with pytest.raises(ValueError):

@@ -52,8 +52,9 @@ class TestHardThreshold:
             prev = cur
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            hard_threshold(np.eye(2), -0.1)
+        for t in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="threshold t"):
+                hard_threshold(np.eye(2), t)
 
 
 class TestChooseThreshold:
@@ -75,6 +76,12 @@ class TestChooseThreshold:
             choose_threshold(100, 50, 0.0, 1.0)
         with pytest.raises(ValueError):
             choose_threshold(100, 1.0, 1.0, 1.0)
+        # a NaN fails each check, as an out-of-range number does
+        for args, match in [((100, 50, 2.0, float("nan")), "c1"),
+                            ((100, 50, float("nan"), 1.0), "scale"),
+                            ((float("nan"), 50, 2.0, 1.0), "n >= 1")]:
+            with pytest.raises(ValueError, match=match):
+                choose_threshold(*args)
 
 
 class TestSparseCovPipeline:
@@ -124,8 +131,9 @@ class TestClimeColumn:
             clime_column(s, 0, 0.3)  # needs lam >= 1/2
 
     def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            clime_column(ScatterMatrix(np.eye(2)), 0, 0.0)
+        for lam in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                clime_column(ScatterMatrix(np.eye(2)), 0, lam)
         with pytest.raises(IndexError):
             clime_column(ScatterMatrix(np.eye(2)), 2, 0.5)
 

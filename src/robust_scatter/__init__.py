@@ -25,6 +25,7 @@ from .estimators import (
     maronna,
     maronna_regularized,
     rational_u,
+    require_existence,
     resolve_u,
     tyler,
     tyler_regularized,

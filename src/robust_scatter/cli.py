@@ -28,7 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, RobustScatterError
+from .errors import RobustScatterError
 from .estimators import (
     ScatterEstimate,
     ScatterMatrix,
@@ -61,8 +61,8 @@ DIST_BY_NAME = {
 
 
 # sampling flags (argparse dest -> default); `diagnose` reads them only for synthetic draws
-_DIST_DEFAULTS = {"dist": "gaussian", "sigma": 0.01, "radial": "constant:1", "mean": 0.0,
-                  "shape_file": None}
+_DIST_DEFAULTS = {"dist": "gaussian", "sigma": DistributionSpec.sigma_smooth,
+                  "radial": "constant:1", "mean": 0.0, "shape_file": None}
 
 
 class UsageError(Exception):
@@ -177,9 +177,9 @@ def _add_dist_args(sp, with_shape: bool, with_mean: bool = False) -> None:
 
 
 def _add_solver_args(sp) -> None:
-    sp.add_argument("--tol", type=_finite_float, default=1e-10,
+    sp.add_argument("--tol", type=_finite_float, default=SolverConfig.tol,
                     help="stop once the defining-equation residual is at most this")
-    sp.add_argument("--max-iter", type=int, default=500,
+    sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
                     help="map evaluations allowed per solve")
 
 
@@ -196,18 +196,13 @@ def _dist_spec(args: argparse.Namespace, p: int) -> DistributionSpec:
     mean = None
     if getattr(args, "mean", 0.0):
         mean = np.full(p, float(args.mean))
-    shape = None
     shape_file = getattr(args, "shape_file", None)
-    if shape_file:
-        shape = ScatterMatrix(load_dataset_csv(shape_file).samples)
-        if shape.p != p:
-            raise UsageError(f"--shape-file matrix is {shape.p}x{shape.p}, expected p={p}")
     return DistributionSpec(
         family=family,
         sigma_smooth=args.sigma,
         radial_law=_parse_radial(args.radial) if family == "elliptical" else None,
         mean=mean,
-        shape=shape,
+        shape=ScatterMatrix(load_dataset_csv(shape_file).samples) if shape_file else None,
     )
 
 
@@ -223,10 +218,7 @@ def _cmd_estimate(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     kind = KIND_BY_NAME[args.kind]
     u = resolve_u(args.u) if kind in ("ME", "MRE") else None
-    est = fit(kind, data, u, args.alpha, _solver_cfg(args))
-    if not est.converged:
-        raise ConvergenceError(f"{kind} did not converge within {args.max_iter} iterations "
-                               f"(residual {est.residual:.3g})")
+    est = fit(kind, data, u, args.alpha, _solver_cfg(args)).require_converged()
     return _json_text(estimate_to_dict(est, data.n)), {}
 
 
@@ -283,10 +275,7 @@ def _cmd_sparse_cov(args) -> tuple[str, dict]:
 def _cmd_clime(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     if args.proxy == "tyler":
-        est = tyler(data, _solver_cfg(args))
-        if not est.converged:
-            raise ConvergenceError(f"Tyler proxy did not converge (residual {est.residual:.3g})")
-        proxy = est.matrix
+        proxy = tyler(data, _solver_cfg(args)).require_converged().matrix
     else:
         proxy = sample_covariance(data)
     truth = load_dataset_csv(args.truth).samples if args.truth else None
@@ -355,16 +344,19 @@ def build_parser() -> _Parser:
     _add_dist_args(sp, with_shape=False)
     sp.add_argument("--u", default="rational",
                     help="weight function for the maronna kinds: rational or huber:t")
-    sp.add_argument("--alpha", type=_finite_float, default=0.0, help="regularization (reg kinds)")
+    sp.add_argument("--alpha", type=_finite_float, default=ExperimentConfig.alpha,
+                    help="regularization (reg kinds)")
     sp.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 64,128,256")
-    sp.add_argument("--ratio", type=int, default=2, help="n = ratio * p")
-    sp.add_argument("--reps", type=int, default=50, help="seeded replicates per dimension")
+    sp.add_argument("--ratio", type=int, default=ExperimentConfig.ratio, help="n = ratio * p")
+    sp.add_argument("--reps", type=int, default=ExperimentConfig.reps,
+                    help="seeded replicates per dimension")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
     _add_solver_args(sp)
-    sp.add_argument("--mc-reps", type=int, default=200,
+    sp.add_argument("--mc-reps", type=int, default=ExperimentConfig.mc_reps,
                     help="Monte-Carlo draws of the master equation per dimension (reg kinds)")
-    sp.add_argument("--threads", type=int, default=1, help="worker threads")
+    sp.add_argument("--threads", type=int, default=ExperimentConfig.threads,
+                    help="worker threads")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("master-eq", formatter_class=fmt,

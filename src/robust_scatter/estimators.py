@@ -26,8 +26,12 @@ history is cleared. Zero samples (legal for ME/MRE) keep d = 0 outside the
 mixing. Once the RMS log-residual is below the tolerance, the relative
 defining-equation residual is computed at Sigma(d), and ``converged``
 means it is below the tolerance too. ``iterations`` counts map
-evaluations. Non-convergence is reported through the ``converged`` flag
-rather than an exception. ``interference_h`` exposes the ME map itself.
+evaluations. Non-convergence is reported through the ``converged`` flag;
+``ScatterEstimate.require_converged`` turns it into the one
+``ConvergenceError`` for callers that need a converged estimate.
+``require_existence`` holds every kind's existence conditions, for the
+solvers and for the experiment and the master equation that predict their
+weights. ``interference_h`` exposes the ME map itself.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import ExistenceError
+from .errors import ConvergenceError, ExistenceError
 from .model import Dataset, ScatterMatrix
 
 __all__ = [
@@ -50,6 +54,7 @@ __all__ = [
     "tyler_u",
     "make_ufunction",
     "resolve_u",
+    "require_existence",
     "SolverConfig",
     "ScatterEstimate",
     "tyler",
@@ -84,16 +89,6 @@ class UFunction:
     phi: Callable[[np.ndarray], np.ndarray]
     phi_inf: float
     d0: Optional[float]
-
-    def require_maronna_admissible(self) -> None:
-        """Existence conditions for the unregularized Maronna estimator."""
-        if not self.phi_inf > 1.0:
-            raise ExistenceError(
-                f"u function {self.name!r} has phi_inf = {self.phi_inf:g} <= 1; "
-                "the Maronna fixed point need not exist"
-            )
-        if self.d0 is None:
-            raise ExistenceError(f"u function {self.name!r} has no unique unit crossing of phi")
 
 
 def rational_u() -> UFunction:
@@ -146,9 +141,9 @@ def tyler_u() -> UFunction:
     )
 
 
-def make_ufunction(u: Callable, name: str = "custom", x_hi: float = 1e3) -> UFunction:
+def make_ufunction(u: Callable, name: str = "custom") -> UFunction:
     """Wrap a user weight function: derive phi, estimate phi_inf and locate
-    the unit crossing d0 = phi^{-1}(1) with `brentq` on [1e-12, x_hi], the
+    the unit crossing d0 = phi^{-1}(1) with `brentq` on [1e-12, 1e3], the
     upper end doubled until phi reaches 1 there."""
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
@@ -159,7 +154,7 @@ def make_ufunction(u: Callable, name: str = "custom", x_hi: float = 1e3) -> UFun
     # phi is non-decreasing and bounded; probe far out for its supremum
     phi_inf = float(phi(np.asarray(1e12)))
 
-    lo, hi = 1e-12, float(x_hi)
+    lo, hi = 1e-12, 1e3
     expansions = 0
     while phi(np.asarray(hi)) < 1.0 and expansions < 200:
         hi *= 2.0
@@ -213,6 +208,13 @@ class ScatterEstimate:
     residual: float
     converged: bool
     u: Optional[UFunction] = None
+
+    def require_converged(self) -> "ScatterEstimate":
+        """This estimate, or `ConvergenceError` when its solve is unconverged."""
+        if not self.converged:
+            raise ConvergenceError(f"{self.kind} did not converge: residual {self.residual:.3g} "
+                                   f"after {self.iterations} map evaluations")
+        return self
 
 
 def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -367,34 +369,58 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
 # public solvers
 # ---------------------------------------------------------------------------
 
+_ESTIMATOR_NAMES = {"TE": "Tyler's estimator", "ME": "Maronna's estimator"}
+
+
+def require_existence(kind: str, n: int, p: int, u: Optional[UFunction] = None,
+                      alpha: float = 0.0) -> None:
+    """Raise `ExistenceError` unless the estimator of `kind` exists for n
+    samples in dimension p: n > p for TE and ME, a u whose phi crosses 1 and
+    has phi_inf > 1 for ME, alpha > max(0, p/n - 1) for TRE and alpha > 0 for
+    MRE (Kent & Tyler 1991; Ollila & Tyler 2014). The TRE and MRE master
+    equations have the same conditions. `ValueError` when ME or MRE has no u.
+    """
+    if kind in ("ME", "MRE") and u is None:
+        raise ValueError(f"kind {kind} needs a u function")
+    if kind in ("TE", "ME") and n <= p:
+        raise ExistenceError(f"{_ESTIMATOR_NAMES[kind]} needs n > p (got n={n}, p={p})")
+    if kind == "ME":
+        if u.d0 is None:
+            raise ExistenceError(f"u function {u.name!r} has no unique unit crossing of phi")
+        if not u.phi_inf > 1.0:
+            raise ExistenceError(
+                f"u function {u.name!r} has phi_inf = {u.phi_inf:g} <= 1; "
+                "the Maronna fixed point need not exist"
+            )
+    if kind == "TRE" and not alpha > max(0.0, p / n - 1.0):
+        raise ExistenceError(
+            f"TRE needs alpha > max(0, p/n - 1) = {max(0.0, p / n - 1.0):g}, got {alpha:g}"
+        )
+    if kind == "MRE" and not alpha > 0:
+        raise ExistenceError(f"MRE needs alpha > 0, got {alpha:g}")
+
+
 def tyler(data: Dataset, cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Tyler's M-estimator: the trace-p solution of
     Sigma = (1/n) sum_i x_i x_i^T / (p^{-1} x_i^T Sigma^{-1} x_i).
 
     Requires n > p and no zero sample; invariant to per-sample rescaling.
     """
-    if data.n <= data.p:
-        raise ExistenceError(f"Tyler's estimator needs n > p (got n={data.n}, p={data.p})")
+    require_existence("TE", data.n, data.p)
     _check_rows(data.samples)
     return _solve("TE", data, None, 0.0, cfg)
 
 
 def maronna(data: Dataset, u: UFunction, cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Maronna's M-estimator with weight function u (needs phi_inf > 1, n > p)."""
-    if data.n <= data.p:
-        raise ExistenceError(f"Maronna's estimator needs n > p (got n={data.n}, p={data.p})")
-    u.require_maronna_admissible()
+    require_existence("ME", data.n, data.p, u)
     return _solve("ME", data, u, 0.0, cfg)
 
 
 def tyler_regularized(data: Dataset, alpha: float,
                       cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Regularized Tyler estimator; needs alpha > max(0, p/n - 1) and no zero sample."""
-    gamma = data.p / data.n
-    if not alpha > max(0.0, gamma - 1.0):
-        raise ExistenceError(
-            f"TRE needs alpha > max(0, p/n - 1) = {max(0.0, gamma - 1.0):g}, got {alpha:g}"
-        )
+    require_existence("TRE", data.n, data.p, alpha=alpha)
     _check_rows(data.samples)
     return _solve("TRE", data, None, alpha, cfg)
 
@@ -402,8 +428,7 @@ def tyler_regularized(data: Dataset, alpha: float,
 def maronna_regularized(data: Dataset, u: UFunction, alpha: float,
                         cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Regularized Maronna estimator; exists uniquely for any alpha > 0."""
-    if not alpha > 0:
-        raise ExistenceError(f"MRE needs alpha > 0, got {alpha:g}")
+    require_existence("MRE", data.n, data.p, u, alpha)
     return _solve("MRE", data, u, alpha, cfg)
 
 
@@ -419,8 +444,6 @@ def fit(kind: str, data: Dataset, u: Optional[UFunction] = None, alpha: float = 
         return tyler(data, cfg)
     if kind == "TRE":
         return tyler_regularized(data, alpha, cfg)
-    if u is None:
-        raise ValueError(f"kind {kind} needs a u function")
     if kind == "ME":
         return maronna(data, u, cfg)
     return maronna_regularized(data, u, alpha, cfg)

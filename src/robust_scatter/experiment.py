@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms
+from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms, require_existence
 from .master_equation import MasterEquationResult, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units
@@ -43,6 +43,8 @@ class ExperimentConfig:
     The sampling spec must be shape-free; the experiment runs at identity
     population shape, which keeps tau_p = 1 so every kind has a well-defined
     limit weight (an ME u must cross phi = 1, at d0, for its limit 1/d0).
+    Construction checks `require_existence` at every grid dimension, so a
+    grid on which the estimator does not exist fails before any solve.
     `solver` configures every replicate's solve. `mc_reps` sets the
     Monte-Carlo draws of the master-equation solve that predicts the TRE/MRE
     limits (one solve per dimension).
@@ -71,12 +73,10 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if self.ratio < 1:
             raise ValueError("ratio must be at least 1")
-        if self.kind in ("ME", "MRE") and self.u is None:
-            raise ValueError(f"{self.kind} needs a u function")
-        if self.kind == "ME" and self.u.d0 is None:
-            raise ValueError(f"ME needs a u with a unit crossing d0, {self.u.name} has none")
-        if self.kind in ("TRE", "MRE") and not self.alpha > 0:
-            raise ValueError(f"{self.kind} needs alpha > 0")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        for p in dims:
+            require_existence(self.kind, self.ratio * p, p, self.u, self.alpha)
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
 

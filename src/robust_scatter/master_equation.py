@@ -8,7 +8,8 @@ For a weight function u (phi(x) = x*u(x)) and regularization alpha > 0,
 where S' is the sample covariance of n-1 fresh draws, still normalized by
 1/n (the leave-one-out convention: removing one sample keeps the divisor),
 and Sigma_p is the population shape of the sampling spec (`spec.shape`, the
-identity when None).
+identity when None). The draws are `samplers.sample` of the spec itself,
+x = mu + Y Sigma_p^{1/2}, so a mean enters S' as it enters any draw.
 F is continuous and strictly decreasing, so the master equation F(d*) = 1
 has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
@@ -24,14 +25,14 @@ by its rep index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ExistenceError
-from .estimators import UFunction, tyler_u
-from .samplers import DistributionSpec, derive_seed, sample, spd_sqrt
+from .errors import ConvergenceError
+from .estimators import UFunction, require_existence, tyler_u
+from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
     "MasterEquationResult",
@@ -64,33 +65,28 @@ class MasterEquationResult:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Per rep: draw n-1 rows, form S' = X^T X / n and keep its eigenvalues.
-    At identity shape (`spec.shape` None) nothing else is needed; for a
-    general Sigma_p = `spec.shape` the rows are drawn isotropic, multiplied by
-    Sigma_p^{1/2} (computed once), and the rep eigendecomposes S' and also
-    keeps diag(U^T Sigma_p U).
+    Rep r draws n-1 rows with ``sample(spec, n - 1, p, derive_seed(seed, r))``,
+    so the rows are x = mu + Y Sigma_p^{1/2}, exactly as every other draw of
+    `spec`, forms S' = X^T X / n and keeps its eigenvalues. At identity shape
+    (`spec.shape` None) nothing else is needed; for a general
+    Sigma_p = `spec.shape` the rep eigendecomposes S' and also keeps
+    diag(U^T Sigma_p U).
     Evaluating Q at any d is then O(p) per rep, and all d values share the
     same randomness, so `solve_master` roots one fixed, continuous F.
-    Rep r is seeded by ``derive_seed(seed, r)``.
     """
 
     def __init__(self, spec: DistributionSpec, n: int, p: int, reps: int, seed: int):
         if reps < 1:
             raise ValueError("reps must be at least 1")
-        shape = spec.shape
-        if shape is not None and shape.p != p:
-            raise ValueError(f"shape is {shape.p}x{shape.p}, expected p={p}")
         self.n = int(n)
         self.p = int(p)
         self.reps = int(reps)
-        root = None if shape is None else spd_sqrt(shape)
-        isotropic = replace(spec, shape=None)
+        shape = spec.shape
 
         def draw(r: int):
-            x = sample(isotropic, n - 1, p, derive_seed(seed, r)).samples
-            if root is None:
+            x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
+            if shape is None:
                 return np.linalg.eigvalsh(x.T @ x / n), None
-            x = x @ root
             w, vec = np.linalg.eigh(x.T @ x / n)
             return w, np.einsum("ij,ij->j", vec, shape.entries @ vec)
 
@@ -120,28 +116,18 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     [0.5, 2] by factors of 2 until F - 1 changes sign on it. Sigma_p is
     `spec.shape` (the identity when None).
 
-    `u` = None selects the TRE case (phi == 1, weights 1/d*), which requires
-    alpha > max(0, p/n - 1); otherwise the MRE case with weights u(d*).
+    `u` = None selects the TRE case (phi == 1, weights 1/d*), otherwise the
+    MRE case with weights u(d*). Each has its estimator's existence
+    condition on alpha (`estimators.require_existence`).
     """
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be positive, got n={n}, p={p}")
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
+    kind = "TRE" if u is None else "MRE"
+    require_existence(kind, n, p, u, alpha)
+    ufun = tyler_u() if u is None else u
     gamma = p / n
-    if not alpha > 0:
-        raise ExistenceError(f"alpha must be positive, got {alpha:g}")
-    if u is None:
-        if not alpha > max(0.0, gamma - 1.0):
-            raise ExistenceError(
-                f"TRE master equation needs alpha > max(0, gamma-1) = "
-                f"{max(0.0, gamma - 1.0):g}, got {alpha:g}"
-            )
-        ufun = tyler_u()
-        kind = "TRE"
-    else:
-        ufun = u
-        kind = "MRE"
-
     mc = QMonteCarlo(spec, n, p, reps, seed)
 
     def f_and_q(d: float) -> Tuple[float, float, float]:

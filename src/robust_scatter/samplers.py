@@ -21,7 +21,7 @@ the index path into ``numpy.random.SeedSequence``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -92,7 +92,8 @@ class DistributionSpec:
 
     `mean` defaults to zero and `shape` to the identity; both apply to every
     family. `sigma_smooth` is only used by ``permuted-smoothed`` and
-    `radial_law` only by ``elliptical``.
+    `radial_law` only by ``elliptical``. `root` is derived, not set: the
+    SPD square root of `shape` (None with no shape), computed once here.
     """
 
     family: str
@@ -100,6 +101,7 @@ class DistributionSpec:
     radial_law: Optional[RadialLaw] = None
     mean: Optional[np.ndarray] = None
     shape: Optional[ScatterMatrix] = None
+    root: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -110,6 +112,7 @@ class DistributionSpec:
             raise ValueError("elliptical family requires a radial_law")
         if self.mean is not None:
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "root", None if self.shape is None else spd_sqrt(self.shape))
 
 
 def spd_sqrt(shape: ScatterMatrix) -> np.ndarray:
@@ -128,10 +131,9 @@ def spd_sqrt(shape: ScatterMatrix) -> np.ndarray:
 def _balanced_signs(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     """n independent uniform draws from {a in {+-1}^p : sum a_i = 0}.
 
-    Each row is a seeded Fisher-Yates shuffle of (p/2 ones, p/2 minus-ones).
+    Each row is a seeded Fisher-Yates shuffle of (p/2 ones, p/2 minus-ones);
+    p is even (`sample` checks it).
     """
-    if p % 2 != 0:
-        raise ValueError("balanced sign vectors require even p")
     base = np.concatenate([np.ones(p // 2), -np.ones(p // 2)])
     return rng.permuted(np.tile(base, (n, 1)), axis=1)
 
@@ -168,8 +170,8 @@ def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
 
     rng = np.random.default_rng(int(seed))
     rows = _isotropic_rows(spec, n, p, rng)
-    if spec.shape is not None:
-        rows = rows @ spd_sqrt(spec.shape)  # sqrt is symmetric
+    if spec.root is not None:
+        rows = rows @ spec.root  # the root is symmetric
     if spec.mean is not None and np.any(spec.mean != 0.0):
         rows = rows + spec.mean
     return Dataset(rows)

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .estimators import SolverConfig, tyler
 from .model import Dataset, NormReport, ScatterMatrix, matrix_norms
 from .parallel import map_units
@@ -70,13 +69,7 @@ def sparse_cov_estimate(data: Dataset, c1: float,
                         truth: Optional[np.ndarray] = None,
                         cfg: Optional[SolverConfig] = None) -> SparseEstimate:
     """Tyler's estimator followed by hard thresholding at the data-driven t."""
-    est = tyler(data, cfg)
-    if not est.converged:
-        raise ConvergenceError(
-            f"Tyler solve did not converge (residual {est.residual:.3g} "
-            f"after {est.iterations} iterations)"
-        )
-    dense = est.matrix.entries
+    dense = tyler(data, cfg).require_converged().matrix.entries
     norms = matrix_norms(dense)
     t = choose_threshold(data.n, data.p, norms.operator_norm, c1)
     out = hard_threshold(dense, t)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import robust_scatter
-from robust_scatter import (DistributionSpec, fit, load_dataset_csv, rational_u, sample,
-                             save_matrix_csv)
+from robust_scatter import (DistributionSpec, SolverConfig, clime, fit, load_dataset_csv,
+                             rational_u, sample, sample_covariance, save_matrix_csv,
+                             sparse_cov_estimate, tyler)
 from robust_scatter.cli import build_parser, estimate_to_dict, main
+from robust_scatter.model import matrix_csv_text
 
 
 @pytest.fixture
@@ -186,6 +188,18 @@ class TestSimulate:
         assert calls == []
         assert not out.exists()
 
+    def test_bad_threads_fail_before_the_master_equation(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        solve_master = robust_scatter.experiment.solve_master
+        monkeypatch.setattr(robust_scatter.experiment, "solve_master",
+                            lambda *a, **k: calls.append(1) or solve_master(*a, **k))
+        out = tmp_path / "reg.csv"
+        assert run("simulate", "--kind", "tyler-reg", "--alpha", "1", "--threads", "0",
+                   "--dims", "12,24", "--reps", "2", "--seed", "4", "--out", out) == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_regularized_rows_report_the_master_equation(self, tmp_path):
         out = tmp_path / "reg.csv"
         assert run("simulate", "--kind", "tyler-reg", "--alpha", "1", "--mc-reps", "30",
@@ -284,6 +298,43 @@ class TestSparsePipelines:
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "non_convergence"
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["sparse-cov", "clime"])
+    def test_truth_errors_are_the_library_errors(self, command, data_csv, tmp_path):
+        truth_path = tmp_path / "truth.csv"
+        save_matrix_csv(np.eye(10), truth_path, digits=17)
+        out = tmp_path / "m.csv"
+        flags = ("--c1", "0.5") if command == "sparse-cov" else ("--lambda", "0.3")
+        assert run(command, "--input", data_csv, *flags, "--truth", truth_path,
+                   "--out", out) == 0
+        data, truth = load_dataset_csv(data_csv), np.eye(10)
+        if command == "sparse-cov":
+            est = sparse_cov_estimate(data, 0.5, truth=truth, cfg=SolverConfig())
+        else:
+            est = clime(tyler(data).matrix, 0.3, truth=truth)
+        err = est.error_vs_truth
+        side = json.loads(Path(f"{out}.meta.json").read_text())
+        assert side["error_vs_truth"] == {"max": err.max_norm, "l1": err.l1_norm,
+                                          "operator": err.operator_norm}
+
+    def test_clime_sample_proxy_is_the_library_clime(self, data_csv, tmp_path):
+        out = tmp_path / "om.csv"
+        assert run("clime", "--input", data_csv, "--lambda", "0.3", "--proxy", "sample",
+                   "--out", out) == 0
+        s = sample_covariance(load_dataset_csv(data_csv))
+        assert out.read_bytes() == matrix_csv_text(clime(s, 0.3).matrix).encode()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sparse-cov", "clime"])
+def test_non_convergence_message_is_shared(command, data_csv, tmp_path, capsys):
+    # each command that needs a converged Tyler fit reports it the same way
+    args = _commands(data_csv, tmp_path)[command]
+    assert run(*args, "--max-iter", "1") == 2
+    est = tyler(load_dataset_csv(data_csv), SolverConfig(max_iter=1))
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "non_convergence",
+        "message": f"TE did not converge: residual {est.residual:.3g} after 1 map evaluations",
+    }
 
 
 SIMULATE_SMALL = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",

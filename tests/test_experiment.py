@@ -5,6 +5,7 @@ from robust_scatter import (
     ConvergenceError,
     Dataset,
     DistributionSpec,
+    ExistenceError,
     ExperimentConfig,
     SolverConfig,
     derive_seed,
@@ -131,6 +132,13 @@ class TestWeightDeviationExperiment:
             ExperimentConfig(kind="XX", dist=GAUSS, dims=(16,))
         with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,), alpha=float("nan"))
+
+    def test_existence_checked_at_construction(self):
+        # ratio 1 gives n = p at every dimension: TE does not exist there
+        with pytest.raises(ExistenceError, match="needs n > p"):
+            ExperimentConfig(kind="TE", dist=GAUSS, dims=(16, 32), ratio=1)
+        with pytest.raises(ExistenceError, match="needs alpha"):
+            ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,), alpha=0.0)
 
 
 class TestQuadraticFormDiagnostics:

@@ -101,6 +101,16 @@ class TestBuild:
             np.testing.assert_array_equal(
                 mc._coef[r], np.einsum("ij,ij->j", vec, shape.entries @ vec))
 
+    def test_mean_and_shape_follow_sample(self):
+        # with a mean, the rows are x = mu + Y Sigma^{1/2}, as in `sample`
+        n, p, seed = 40, 4, 11
+        spec = DistributionSpec("gaussian", mean=np.full(p, 3.0),
+                                shape=ScatterMatrix(np.diag([4.0, 1.0, 1.0, 0.25])))
+        mc = QMonteCarlo(spec, n, p, reps=3, seed=seed)
+        for r in range(3):
+            x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
+            np.testing.assert_array_equal(mc._lam[r], np.linalg.eigh(x.T @ x / n)[0])
+
     def test_wrong_dimension_shape_rejected(self):
         spec = replace(GAUSS, shape=ScatterMatrix(np.eye(3)))
         with pytest.raises(ValueError, match="expected p=4"):
@@ -193,5 +203,5 @@ class TestSolveMaster:
         with pytest.raises(ExistenceError):
             solve_master(GAUSS, 100, 50, alpha=-1.0, u=rational_u(), reps=10, seed=0)
         for u in (None, rational_u()):
-            with pytest.raises(ExistenceError, match="alpha must be positive"):
+            with pytest.raises(ExistenceError, match="needs alpha"):
                 solve_master(GAUSS, 100, 50, alpha=float("nan"), u=u, reps=10, seed=0)

@@ -46,7 +46,7 @@ from .experiment import (
 )
 from .master_equation import solve_master
 from .model import load_dataset_csv, matrix_csv_text, sample_covariance, write_text_atomic
-from .parallel import blas_report
+from .parallel import blas_report, require_threads
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import sparse_cov_estimate
@@ -273,6 +273,7 @@ def _cmd_sparse_cov(args) -> tuple[str, dict]:
 
 
 def _cmd_clime(args) -> tuple[str, dict]:
+    require_threads(args.threads)  # before the proxy solve, not after it
     data = load_dataset_csv(args.input)
     if args.proxy == "tyler":
         proxy = tyler(data, _solver_cfg(args)).require_converged().matrix

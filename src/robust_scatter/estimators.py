@@ -18,6 +18,10 @@ u(d), rescaled for TE, and the map is d -> quad_forms(x, Sigma(d)); d is a
 fixed point iff Sigma(d) solves the estimator equation. The weighted
 covariance is formed as B^T B with B = x * sqrt(w/n) row-wise, which numpy
 hands to SYRK: half the flops of a general product, and exactly symmetric.
+The forms take a Cholesky factor and a triangular inverse or solve, called
+through scipy's Cython LAPACK/BLAS API by ctypes. Like numpy's SYRK, those
+calls release the GIL, so the replicates of a worker pool
+(`parallel.map_units`) run their map evaluations in parallel.
 The solver iterates y = log d from the forms at the identity, mixing each
 step over the last few map values by Anderson acceleration (Walker & Ni,
 SIAM J. Numer. Anal. 2011). A mixed step that raises the RMS log-residual
@@ -36,12 +40,13 @@ weights. ``interference_h`` exposes the ME map itself.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import ConvergenceError, ExistenceError
 from .model import Dataset, ScatterMatrix
@@ -217,27 +222,72 @@ class ScatterEstimate:
         return self
 
 
+# LAPACK and BLAS through scipy's Cython API (LP64, Fortran calling
+# convention: every argument by pointer). A ctypes foreign call releases the
+# GIL, so `map_units` workers overlap these kernels; scipy's f2py wrappers
+# hold the GIL for the whole call.
+_CHAR, _INT, _DOUBLE = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _kernel(module, name: str, *argtypes):
+    capsule = module.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_dpotrf = _kernel(cython_lapack, "dpotrf", _CHAR, _INT, _DOUBLE, _INT, _INT)
+_dtrtri = _kernel(cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _DOUBLE, _INT, _INT)
+# side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
+_dtrmm = _kernel(cython_blas, "dtrmm", *(_CHAR,) * 4, *(_INT,) * 2, *(_DOUBLE,) * 2, _INT, _DOUBLE, _INT)
+_dtrsm = _kernel(cython_blas, "dtrsm", *(_CHAR,) * 4, *(_INT,) * 2, *(_DOUBLE,) * 2, _INT, _DOUBLE, _INT)
+
+
+def _require_factor(routine: str, info: ctypes.c_int) -> None:
+    if info.value < 0:
+        raise ValueError(f"{routine}: argument {-info.value} has an illegal value")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"sigma is not positive definite (leading minor {info.value})")
+
+
 def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x.
 
-    One LAPACK Cholesky sigma = L L^T (``np.linalg.LinAlgError`` when sigma
-    is not positive definite), then d_i = |L^{-1} x_i|^2 / p. With at least
-    p rows, L is inverted once and applied to x^T by a triangular product;
-    with fewer rows (the one-row leave-one-out forms of
-    `experiment.quadratic_form_diagnostics`) one triangular solve is
-    cheaper. x^T of a C-ordered x is already in the Fortran order both
-    kernels take, so no transposed copy of x is made.
+    One LAPACK Cholesky sigma = L L^T (``np.linalg.LinAlgError`` naming the
+    leading minor when sigma is not positive definite), then
+    d_i = |L^{-1} x_i|^2 / p. With at least p rows, L is inverted once and
+    applied to x^T by a triangular product; with fewer rows (the one-row
+    leave-one-out forms of `experiment.quadratic_form_diagnostics`) one
+    triangular solve is cheaper. The kernels (``dpotrf``, ``dtrtri``,
+    ``dtrmm``, ``dtrsm`` of scipy's OpenBLAS) run without the GIL, in place
+    on a Fortran-ordered copy of sigma and on a C-ordered copy of x, whose
+    memory is the Fortran-ordered x^T they take. Only the lower triangle of
+    sigma is read. `ValueError` unless x is a nonempty n x p array and sigma
+    is p x p.
     """
-    n, p = x.shape
-    chol, info = lapack.dpotrf(sigma, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"sigma is not positive definite (leading minor {info})")
+    z = np.array(x, dtype=np.float64, order="C")  # p x n x^T, transformed in place
+    chol = np.array(sigma, dtype=np.float64, order="F")
+    n, p = z.shape
+    if z.size == 0 or chol.shape != (p, p):
+        raise ValueError(f"quad_forms needs a nonempty n x p x and a p x p sigma, "
+                         f"got {z.shape} and {chol.shape}")
+    # the kernels get the arrays' first entries by reference; both buffers
+    # are C-contiguous (chol.T is), as from_buffer requires
+    a, b = ctypes.c_double.from_buffer(chol.T), ctypes.c_double.from_buffer(z)
+    dim, cols = ctypes.c_int(p), ctypes.c_int(n)
+    one, info = ctypes.c_double(1.0), ctypes.c_int(0)
+    _dpotrf(b"L", dim, a, dim, info)
+    _require_factor("dpotrf", info)
     if n >= p:
-        inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)
-        z = blas.dtrmm(1.0, inv, x.T, lower=1)
+        _dtrtri(b"L", b"N", dim, a, dim, info)
+        _require_factor("dtrtri", info)
+        _dtrmm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
     else:
-        z = blas.dtrsm(1.0, chol, x.T, lower=1)
-    return np.einsum("ij,ij->j", z, z) / p
+        _dtrsm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
+    return np.einsum("ij,ij->j", z.T, z.T) / p
 
 
 def _weighted_cov(x: np.ndarray, w: np.ndarray) -> np.ndarray:

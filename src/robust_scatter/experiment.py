@@ -19,7 +19,7 @@ from .errors import ConvergenceError
 from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms, require_existence
 from .master_equation import MasterEquationResult, solve_master
 from .model import Dataset, sample_covariance
-from .parallel import map_units
+from .parallel import map_units, require_threads
 from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if self.ratio < 1:
             raise ValueError("ratio must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        require_threads(self.threads)
         for p in dims:
             require_existence(self.kind, self.ratio * p, p, self.u, self.alpha)
         if self.dist.shape is not None:

@@ -12,9 +12,15 @@ to `map_units`, so each worker runs one BLAS thread.
 A process running numpy and scipy carries two OpenBLAS copies: numpy's
 (``libscipy_openblas64_``: matrix products, the solvers' SYRK Gram,
 eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
-kernels of ``estimators.quad_forms``). Both are found in
+kernels of ``estimators.quad_forms``, which reaches them through
+``scipy.linalg.cython_lapack`` and ``cython_blas``). Both are found in
 ``/proc/self/maps`` and set through their C-ABI setters, which take the
 count by value. A copy without a known setter is left as it is.
+
+The workers are threads, so they overlap only native calls that release the
+GIL: numpy's matrix products and ``linalg``, ``quad_forms``' kernels and
+HiGHS. scipy's f2py ``scipy.linalg.lapack``/``blas`` wrappers hold it for
+the whole call; no worker loop of the package calls them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Iterable, List, Optional, TypeVar
 import numpy  # noqa: F401  (both OpenBLAS copies must be mapped before the pin below)
 import scipy.linalg  # noqa: F401
 
-__all__ = ["openblas_copies", "blas_report", "map_units"]
+__all__ = ["openblas_copies", "blas_report", "require_threads", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -106,14 +112,21 @@ for _copy in openblas_copies():
         _copy.set_threads(1)
 
 
+def require_threads(threads: int) -> None:
+    """`ValueError` unless `threads` is a worker count `map_units` accepts.
+
+    Callers that do work before their map check here first."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
 def map_units(fn: Callable[[T], R], items: Iterable[T], threads: int) -> List[R]:
     """``[fn(x) for x in items]`` on `threads` workers, results in input order.
 
     One worker runs the units in the calling thread; more use a thread pool.
     The first exception raised by `fn` propagates.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    require_threads(threads)
     if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -47,6 +47,8 @@ checks the mean weight of each draw:
 term is the Jensen bias of w(q) (sigma_w^2/w* for TRE).
 """
 
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -101,8 +103,9 @@ def _report(num, name, ok, detail):
 
 
 def _figure1(kind, dist, u=None):
+    # every usable core: the replicates do not depend on the worker count
     cfg = ExperimentConfig(kind=kind, dist=dist, dims=DIMS, ratio=2, reps=50,
-                           base_seed=BASE_SEED, u=u)
+                           base_seed=BASE_SEED, u=u, threads=len(os.sched_getaffinity(0)))
     return weight_deviation_experiment_cached(cfg)
 
 

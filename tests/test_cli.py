@@ -418,10 +418,13 @@ class TestThreads:
     """One worker-count check for every command that runs a worker map."""
 
     @pytest.mark.parametrize("command", WORKER_COMMANDS)
-    def test_flag_below_one_exits_1(self, command, data_csv, tmp_path, capsys):
+    def test_flag_below_one_exits_1(self, command, data_csv, tmp_path, capsys, monkeypatch):
+        calls = []  # the check comes before any solve, `clime`'s Tyler proxy included
+        monkeypatch.setattr(robust_scatter.cli, "tyler", lambda *a, **k: calls.append(1))
         args = _commands(data_csv, tmp_path)[command]
         assert run(*args, "--threads", "0") == 1
         assert "threads must be at least 1" in capsys.readouterr().err
+        assert calls == []
         assert not Path(args[-1]).exists()
 
     # every command's sidecar has a `blas` list; the worker commands also

@@ -1,5 +1,8 @@
+import ctypes
+
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
 from robust_scatter import (
     Dataset,
@@ -24,6 +27,7 @@ from robust_scatter import (
 )
 import robust_scatter.estimators as estimators
 from robust_scatter.estimators import quad_forms
+from robust_scatter.parallel import map_units
 
 from fixed_point_oracle import defining_residual, picard_oracle, tyler_objective, weights
 
@@ -390,27 +394,89 @@ class TestDiagnostics:
         assert defining_residual("TE", data.samples, np.eye(5)) > 1e-3
 
 
+def f2py_quad_forms(x, sigma):
+    """Reference for `quad_forms`: the same LAPACK and BLAS routines through
+    scipy's f2py wrappers, which copy their inputs and hold the GIL."""
+    n, p = x.shape
+    chol, info = lapack.dpotrf(sigma, lower=1, clean=0)
+    assert info == 0
+    if n >= p:
+        inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)
+        z = blas.dtrmm(1.0, inv, x.T, lower=1)
+    else:
+        z = blas.dtrsm(1.0, chol, x.T, lower=1)
+    return np.einsum("ij,ij->j", z, z) / p
+
+
+def _layout(a, order):
+    """`a` as a C-ordered, F-ordered or strided (every other entry) array."""
+    if order == "strided":
+        big = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+        big[::2, ::2] = a
+        return big[::2, ::2]
+    return np.asarray(a, order=order)
+
+
 class TestQuadForms:
     """Both kernels of `quad_forms`: the inverted factor (rows >= p) and
     the triangular solve (rows < p)."""
 
     P = 12
 
+    @staticmethod
+    def _spd(rng, p):
+        a = rng.standard_normal((p, p))
+        return a @ a.T + 0.5 * np.eye(p)
+
     @pytest.mark.parametrize("rows", [1, P - 1, P, 2 * P])
     def test_matches_dense_solve(self, rows):
         rng = np.random.default_rng(40 + rows)
-        a = rng.standard_normal((self.P, self.P))
-        sigma = a @ a.T + 0.5 * np.eye(self.P)
+        sigma = self._spd(rng, self.P)
         x = rng.standard_normal((rows, self.P))
         want = np.einsum("ij,ji->i", x, np.linalg.solve(sigma, x.T)) / self.P
         np.testing.assert_allclose(quad_forms(x, sigma), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [P, 96])
+    @pytest.mark.parametrize("rows", ["1", "p-1", "p", "2p"])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_equals_f2py_kernels(self, p, rows, order):
+        n = {"1": 1, "p-1": p - 1, "p": p, "2p": 2 * p}[rows]
+        rng = np.random.default_rng(p + n)
+        sigma = self._spd(rng, p)
+        # only the lower triangle is read: junk above it must not matter
+        sigma[np.triu_indices(p, 1)] = rng.standard_normal(p * (p - 1) // 2)
+        x = rng.standard_normal((n, p))
+        got = quad_forms(_layout(x, order), _layout(sigma, order))
+        assert np.array_equal(got, f2py_quad_forms(x, sigma))
+
+    def test_worker_pool_equals_serial(self):
+        rng = np.random.default_rng(44)
+        units = []
+        for k in range(16):
+            p = 48 + 8 * (k % 4)
+            x = rng.standard_normal((p // 2 if k % 2 else 2 * p, p))
+            units.append((x, self._spd(rng, p)))
+        serial = [quad_forms(x, s) for x, s in units]
+        pooled = map_units(lambda u: quad_forms(*u), units, threads=2)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+    @pytest.mark.parametrize("x_shape,sigma_shape", [((0, P), (P, P)), ((3, P), (P + 1, P + 1)),
+                                                     ((3, P), (P, 1))])
+    def test_bad_shapes_raise_before_the_kernels(self, x_shape, sigma_shape):
+        with pytest.raises(ValueError, match="nonempty n x p x and a p x p sigma"):
+            quad_forms(np.ones(x_shape), np.eye(*sigma_shape))
+
+    def test_illegal_kernel_argument_raises(self):
+        # a negative LAPACK info (an illegal argument) raises; no forms are returned
+        with pytest.raises(ValueError, match="dpotrf: argument 4 has an illegal value"):
+            estimators._require_factor("dpotrf", ctypes.c_int(-4))
 
     @pytest.mark.parametrize("rows", [1, 2 * P])
     def test_non_spd_raises(self, rows):
         x = np.random.default_rng(41).standard_normal((rows, self.P))
         sigma = np.eye(self.P)
         sigma[3, 3] = -1.0
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match=r"leading minor 4\)"):
             quad_forms(x, sigma)
 
     def test_weighted_cov_exactly_symmetric(self):

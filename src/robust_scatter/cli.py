@@ -44,8 +44,9 @@ from .experiment import (
     stieltjes_diag,
     weight_deviation_experiment,
 )
-from .master_equation import solve_master
-from .model import load_dataset_csv, matrix_csv_text, sample_covariance, write_text_atomic
+from .master_equation import MC_REPS, solve_master
+from .model import (load_dataset_csv, matrix_csv_text, matrix_norms, sample_covariance,
+                    write_text_atomic)
 from .parallel import blas_report, require_threads
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
@@ -121,13 +122,14 @@ def _norms_dict(norms) -> dict:
     return {"max": norms.max_norm, "l1": norms.l1_norm, "operator": norms.operator_norm}
 
 
-def _sparse_extra(est, parameter_key: str) -> dict:
-    """The `sparse-cov` and `clime` sidecar fields, the parameter named after the flag."""
+def _sparse_extra(est, parameter_key: str, truth) -> dict:
+    """The `sparse-cov` and `clime` sidecar fields, the parameter named after
+    the flag; the error norms are measured against `truth` (None without one)."""
     return {
         "method": est.method,
         parameter_key: est.parameter,
         "input_norms": _norms_dict(est.input_norms),
-        "error_vs_truth": _norms_dict(est.error_vs_truth) if est.error_vs_truth else None,
+        "error_vs_truth": None if truth is None else _norms_dict(matrix_norms(est.matrix - truth)),
     }
 
 
@@ -184,9 +186,10 @@ def _add_solver_args(sp) -> None:
 
 
 def _parse_radial(text: str) -> RadialLaw:
-    kind, _, arg = text.partition(":")
+    """`kind` or `kind:param`; a bare kind takes param 1, an empty param is an error."""
+    kind, sep, arg = text.partition(":")
     try:
-        return RadialLaw(kind, _finite_float(arg) if arg else 1.0)
+        return RadialLaw(kind, _finite_float(arg) if sep else 1.0)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad --radial value {text!r}: {exc}") from None
 
@@ -208,6 +211,17 @@ def _dist_spec(args: argparse.Namespace, p: int) -> DistributionSpec:
 
 def _solver_cfg(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(tol=args.tol, max_iter=args.max_iter)
+
+
+def _load_truth(args: argparse.Namespace, p: int):
+    """The `--truth` matrix of `sparse-cov` and `clime` (None without the
+    flag), read before any solve: `ValueError` unless it is p x p."""
+    if args.truth is None:
+        return None
+    truth = load_dataset_csv(args.truth).samples
+    if truth.shape != (p, p):
+        raise ValueError(f"--truth is {truth.shape[0]}x{truth.shape[1]}, expected {p}x{p}")
+    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +281,21 @@ def _cmd_master_eq(args) -> tuple[str, dict]:
 
 def _cmd_sparse_cov(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
-    truth = load_dataset_csv(args.truth).samples if args.truth else None
-    est = sparse_cov_estimate(data, args.c1, truth=truth, cfg=_solver_cfg(args))
-    return matrix_csv_text(est.matrix), _sparse_extra(est, "threshold")
+    truth = _load_truth(args, data.p)
+    est = sparse_cov_estimate(data, args.c1, cfg=_solver_cfg(args))
+    return matrix_csv_text(est.matrix), _sparse_extra(est, "threshold", truth)
 
 
 def _cmd_clime(args) -> tuple[str, dict]:
     require_threads(args.threads)  # before the proxy solve, not after it
     data = load_dataset_csv(args.input)
+    truth = _load_truth(args, data.p)
     if args.proxy == "tyler":
         proxy = tyler(data, _solver_cfg(args)).require_converged().matrix
     else:
         proxy = sample_covariance(data)
-    truth = load_dataset_csv(args.truth).samples if args.truth else None
-    out = clime_solve(proxy, args.lam, truth=truth, threads=args.threads)
-    return matrix_csv_text(out.matrix), _sparse_extra(out, "lambda")
+    out = clime_solve(proxy, args.lam, threads=args.threads)
+    return matrix_csv_text(out.matrix), _sparse_extra(out, "lambda", truth)
 
 
 def _cmd_diagnose(args) -> tuple[str, dict]:
@@ -370,7 +384,7 @@ def build_parser() -> _Parser:
     size = sp.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, default=None)
     size.add_argument("--gamma", type=_finite_float, default=None, help="p/n (alternative to --n)")
-    sp.add_argument("--reps", type=int, default=200, help="Monte-Carlo draws")
+    sp.add_argument("--reps", type=int, default=MC_REPS, help="Monte-Carlo draws")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     sp.set_defaults(func=_cmd_master_eq)

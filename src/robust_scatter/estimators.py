@@ -428,8 +428,11 @@ def require_existence(kind: str, n: int, p: int, u: Optional[UFunction] = None,
     samples in dimension p: n > p for TE and ME, a u whose phi crosses 1 and
     has phi_inf > 1 for ME, alpha > max(0, p/n - 1) for TRE and alpha > 0 for
     MRE (Kent & Tyler 1991; Ollila & Tyler 2014). The TRE and MRE master
-    equations have the same conditions. `ValueError` when ME or MRE has no u.
+    equations have the same conditions. `ValueError`, checked first, when n
+    or p is below 1, and when ME or MRE has no u.
     """
+    if n < 1 or p < 1:
+        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
     if kind in ("ME", "MRE") and u is None:
         raise ValueError(f"kind {kind} needs a u function")
     if kind in ("TE", "ME") and n <= p:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms, require_existence
-from .master_equation import MasterEquationResult, solve_master
+from .master_equation import MC_REPS, MasterEquationResult, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units, require_threads
 from .samplers import DistributionSpec, derive_seed, sample
@@ -43,8 +43,10 @@ class ExperimentConfig:
     The sampling spec must be shape-free; the experiment runs at identity
     population shape, which keeps tau_p = 1 so every kind has a well-defined
     limit weight (an ME u must cross phi = 1, at d0, for its limit 1/d0).
-    Construction checks `require_existence` at every grid dimension, so a
-    grid on which the estimator does not exist fails before any solve.
+    Construction checks, at every grid dimension, the sampler's rules
+    (`DistributionSpec.require_dims`) and then `require_existence`, so a
+    grid that cannot be drawn, or on which the estimator does not exist,
+    fails before any solve.
     `solver` configures every replicate's solve. `mc_reps` sets the
     Monte-Carlo draws of the master-equation solve that predicts the TRE/MRE
     limits (one solve per dimension).
@@ -59,7 +61,7 @@ class ExperimentConfig:
     u: Optional[UFunction] = None
     alpha: float = 0.0
     solver: SolverConfig = SolverConfig()
-    mc_reps: int = 200
+    mc_reps: int = MC_REPS
     threads: int = 1
 
     def __post_init__(self):
@@ -74,10 +76,11 @@ class ExperimentConfig:
         if self.ratio < 1:
             raise ValueError("ratio must be at least 1")
         require_threads(self.threads)
-        for p in dims:
-            require_existence(self.kind, self.ratio * p, p, self.u, self.alpha)
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
+        for p in dims:
+            self.dist.require_dims(self.ratio * p, p)
+            require_existence(self.kind, self.ratio * p, p, self.u, self.alpha)
 
 
 @dataclass(frozen=True)

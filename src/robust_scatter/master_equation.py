@@ -40,6 +40,8 @@ __all__ = [
     "QMonteCarlo",
 ]
 
+MC_REPS = 200  # Monte-Carlo draws of Q when the caller names no count
+
 
 @dataclass(frozen=True)
 class MasterEquationResult:
@@ -109,7 +111,7 @@ def _f_from_q(q: float, phi_d: float, alpha: float, gamma: float) -> float:
 
 
 def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
-                 u: Optional[UFunction] = None, reps: int = 200,
+                 u: Optional[UFunction] = None, reps: int = MC_REPS,
                  seed: int = 0) -> MasterEquationResult:
     """Solve F(d*) = 1 with `brentq` on the Monte-Carlo estimate of F
     (common random numbers across all d), after growing the bracket
@@ -118,10 +120,8 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), otherwise the
     MRE case with weights u(d*). Each has its estimator's existence
-    condition on alpha (`estimators.require_existence`).
+    condition on alpha, and n, p >= 1 (`estimators.require_existence`).
     """
-    if n < 1 or p < 1:
-        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
     kind = "TRE" if u is None else "MRE"

@@ -15,7 +15,8 @@ eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
 kernels of ``estimators.quad_forms``, which reaches them through
 ``scipy.linalg.cython_lapack`` and ``cython_blas``). Both are found in
 ``/proc/self/maps`` and set through their C-ABI setters, which take the
-count by value. A copy without a known setter is left as it is.
+count by value. A copy without a known setter, or mapped after the import,
+is left as it is, and `blas_report` calls it unmanaged.
 
 The workers are threads, so they overlap only native calls that release the
 GIL: numpy's matrix products and ``linalg``, ``quad_forms``' kernels and
@@ -93,23 +94,26 @@ def openblas_copies() -> List[OpenBlasCopy]:
 
 
 def blas_report() -> List[dict]:
-    """Each OpenBLAS copy with its current thread count and whether the
-    import-time pin holds it ("pinned") or leaves it alone ("unmanaged")."""
+    """Each OpenBLAS copy mapped now: "pinned" with its current thread count
+    when the import-time pin set it, else "unmanaged" with no count (no
+    known setter, or mapped after the pin ran)."""
     return [
         {
             "library": os.path.basename(c.path),
-            "threads": c.get_threads() if c.managed else None,
-            "in_loops": "pinned" if c.managed else "unmanaged",
+            "threads": c.get_threads() if c.path in _PINNED else None,
+            "in_loops": "pinned" if c.path in _PINNED else "unmanaged",
         }
         for c in openblas_copies()
     ]
 
 
 # The one place thread counts are set: every managed copy, for the life of
-# the process.
+# the process. `_PINNED` records the paths it set, for `blas_report`.
+_PINNED = set()
 for _copy in openblas_copies():
     if _copy.managed:
         _copy.set_threads(1)
+        _PINNED.add(_copy.path)
 
 
 def require_threads(threads: int) -> None:

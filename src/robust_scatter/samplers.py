@@ -114,6 +114,20 @@ class DistributionSpec:
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "root", None if self.shape is None else spd_sqrt(self.shape))
 
+    def require_dims(self, n: int, p: int) -> None:
+        """`ValueError` unless this spec can draw n rows of dimension p:
+        n, p >= 1, p even for ``permuted-smoothed``, and a `shape` and `mean`
+        (when set) of dimension p. `sample` checks every draw here; callers
+        that draw later (`experiment.ExperimentConfig`) check up front."""
+        if n < 1 or p < 1:
+            raise ValueError(f"n and p must be positive, got n={n}, p={p}")
+        if self.family == "permuted-smoothed" and p % 2 != 0:
+            raise ValueError(f"permuted-smoothed requires even p, got p={p}")
+        if self.shape is not None and self.shape.p != p:
+            raise ValueError(f"shape matrix is {self.shape.p}x{self.shape.p}, expected p={p}")
+        if self.mean is not None and self.mean.shape != (p,):
+            raise ValueError(f"mean has shape {self.mean.shape}, expected ({p},)")
+
 
 def spd_sqrt(shape: ScatterMatrix) -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition.
@@ -132,7 +146,7 @@ def _balanced_signs(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     """n independent uniform draws from {a in {+-1}^p : sum a_i = 0}.
 
     Each row is a seeded Fisher-Yates shuffle of (p/2 ones, p/2 minus-ones);
-    p is even (`sample` checks it).
+    p is even (`DistributionSpec.require_dims` checks it).
     """
     base = np.concatenate([np.ones(p // 2), -np.ones(p // 2)])
     return rng.permuted(np.tile(base, (n, 1)), axis=1)
@@ -158,16 +172,9 @@ def _isotropic_rows(spec: DistributionSpec, n: int, p: int, rng: np.random.Gener
 
 
 def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows of dimension p from `spec`, deterministically in seed."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    if spec.family == "permuted-smoothed" and p % 2 != 0:
-        raise ValueError("permuted-smoothed requires even p")
-    if spec.shape is not None and spec.shape.p != p:
-        raise ValueError(f"shape matrix is {spec.shape.p}x{spec.shape.p}, expected p={p}")
-    if spec.mean is not None and spec.mean.shape != (p,):
-        raise ValueError(f"mean has shape {spec.mean.shape}, expected ({p},)")
-
+    """Draw n i.i.d. rows of dimension p from `spec`, deterministically in
+    seed; `spec.require_dims(n, p)` first."""
+    spec.require_dims(n, p)
     rng = np.random.default_rng(int(seed))
     rows = _isotropic_rows(spec, n, p, rng)
     if spec.root is not None:

@@ -7,6 +7,9 @@ Two pipelines:
 * CLIME -- estimate a sparse inverse shape column by column, each column
   solving  min ||w||_1  s.t.  ||S_hat w - e_j||_inf <= lambda,  followed by
   a smaller-magnitude-wins symmetrization.
+
+Neither pipeline scores its output; a caller that knows the target matrix
+measures ``matrix_norms(est.matrix - target)`` itself, as the CLI does.
 """
 
 from __future__ import annotations
@@ -35,14 +38,13 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class SparseEstimate:
     """Result of a sparse pipeline: the estimated matrix, which method
-    produced it, its tuning parameter (threshold t or lambda), norms of the
-    dense input matrix, and, when the truth was supplied, the error norms."""
+    produced it, its tuning parameter (threshold t or lambda) and the norms
+    of the dense input matrix."""
 
     matrix: np.ndarray
     method: str
     parameter: float
     input_norms: NormReport
-    error_vs_truth: Optional[NormReport] = None
 
 
 def hard_threshold(m: np.ndarray, t: float) -> np.ndarray:
@@ -66,16 +68,13 @@ def choose_threshold(n: float, p: float, scale: float, c1: float) -> float:
 
 
 def sparse_cov_estimate(data: Dataset, c1: float,
-                        truth: Optional[np.ndarray] = None,
                         cfg: Optional[SolverConfig] = None) -> SparseEstimate:
     """Tyler's estimator followed by hard thresholding at the data-driven t."""
     dense = tyler(data, cfg).require_converged().matrix.entries
     norms = matrix_norms(dense)
     t = choose_threshold(data.n, data.p, norms.operator_norm, c1)
     out = hard_threshold(dense, t)
-    err = matrix_norms(out - np.asarray(truth, dtype=float)) if truth is not None else None
-    return SparseEstimate(matrix=out, method="threshold", parameter=t,
-                          input_norms=norms, error_vs_truth=err)
+    return SparseEstimate(matrix=out, method="threshold", parameter=t, input_norms=norms)
 
 
 def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
@@ -99,8 +98,7 @@ def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     return z[:p] - z[p:]
 
 
-def clime(s_hat: ScatterMatrix, lam: float,
-          truth: Optional[np.ndarray] = None, threads: int = 1) -> SparseEstimate:
+def clime(s_hat: ScatterMatrix, lam: float, threads: int = 1) -> SparseEstimate:
     """All p CLIME columns plus symmetrization.
 
     Symmetrization keeps, for each (i, j), whichever of the two column
@@ -113,7 +111,5 @@ def clime(s_hat: ScatterMatrix, lam: float,
     wt = w.T
     absw, abswt = np.abs(w), np.abs(wt)
     out = np.where(absw < abswt, w, np.where(abswt < absw, wt, (w + wt) / 2.0))
-
-    err = matrix_norms(out - np.asarray(truth, dtype=float)) if truth is not None else None
     return SparseEstimate(matrix=out, method="clime", parameter=float(lam),
-                          input_norms=matrix_norms(s_hat.entries), error_vs_truth=err)
+                          input_norms=matrix_norms(s_hat.entries))

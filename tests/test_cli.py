@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import robust_scatter
-from robust_scatter import (DistributionSpec, SolverConfig, clime, fit, load_dataset_csv,
-                             rational_u, sample, sample_covariance, save_matrix_csv,
-                             sparse_cov_estimate, tyler)
-from robust_scatter.cli import build_parser, estimate_to_dict, main
+from robust_scatter import (DistributionSpec, RadialLaw, SolverConfig, clime, fit,
+                             load_dataset_csv, matrix_norms, rational_u, sample,
+                             sample_covariance, save_matrix_csv, sparse_cov_estimate, tyler)
+from robust_scatter.cli import _parse_radial, build_parser, estimate_to_dict, main
 from robust_scatter.model import matrix_csv_text
 
 
@@ -309,10 +309,10 @@ class TestSparsePipelines:
                    "--out", out) == 0
         data, truth = load_dataset_csv(data_csv), np.eye(10)
         if command == "sparse-cov":
-            est = sparse_cov_estimate(data, 0.5, truth=truth, cfg=SolverConfig())
+            est = sparse_cov_estimate(data, 0.5, cfg=SolverConfig())
         else:
-            est = clime(tyler(data).matrix, 0.3, truth=truth)
-        err = est.error_vs_truth
+            est = clime(tyler(data).matrix, 0.3)
+        err = matrix_norms(est.matrix - truth)
         side = json.loads(Path(f"{out}.meta.json").read_text())
         assert side["error_vs_truth"] == {"max": err.max_norm, "l1": err.l1_norm,
                                           "operator": err.operator_norm}
@@ -412,6 +412,67 @@ def test_non_finite_float_flag_exits_1(command, flags, value, data_csv, tmp_path
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
     assert f"expected a finite number, got {value!r}" in cap.err
     assert not Path(args[-1]).exists() and not Path(f"{args[-1]}.meta.json").exists()
+
+
+DATA = object()  # stands for the dataset CSV of `data_csv`
+# bad invocations (without --out); a tuple is the shape of a --truth matrix
+# written next to the data. Each must be rejected before any solve.
+BAD_INVOCATIONS = {
+    "tre-dims-0": ("simulate", "--kind", "tyler-reg", "--alpha", "1", "--dims", "0,64",
+                   "--reps", "2", "--seed", "1"),
+    "odd-permuted-smoothed-dim": ("simulate", "--kind", "tyler", "--dist", "permuted-smoothed",
+                                  "--dims", "64,65", "--reps", "2", "--seed", "1"),
+    **{f"{command}-truth-{r}x{c}": (command, "--input", DATA, *flags, "--truth", (r, c))
+       for command, flags in (("sparse-cov", ("--c1", "0.5")), ("clime", ("--lambda", "0.3")))
+       for r, c in ((1, 1), (1, 10), (11, 11))},
+    "radial-chi-empty": ("simulate", "--kind", "tyler", "--dist", "elliptical",
+                         "--radial", "chi:", "--dims", "8,16", "--reps", "2", "--seed", "1"),
+    "radial-constant-empty": ("simulate", "--kind", "tyler", "--dist", "elliptical",
+                              "--radial", "constant:", "--dims", "8,16", "--reps", "2",
+                              "--seed", "1"),
+    "dims-not-integer": ("simulate", "--kind", "tyler", "--dims", "64,x", "--reps", "2",
+                         "--seed", "1"),
+    "gamma-0": ("master-eq", "--kind", "tre", "--alpha", "1", "--p", "20", "--gamma", "0",
+                "--seed", "3"),
+    "threads-0": ("clime", "--input", DATA, "--lambda", "0.3", "--threads", "0"),
+}
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before the input was rejected")
+
+
+@pytest.mark.parametrize("args", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS.keys())
+def test_failure_contract(args, data_csv, tmp_path, capsys, monkeypatch):
+    # exit 1, one `error: ` line on stderr, nothing on stdout, no file written
+    for module, name in [(robust_scatter.cli, "tyler"), (robust_scatter.cli, "fit"),
+                         (robust_scatter.cli, "solve_master"), (robust_scatter.sparse, "tyler"),
+                         (robust_scatter.experiment, "fit"),
+                         (robust_scatter.experiment, "solve_master")]:
+        monkeypatch.setattr(module, name, _no_solve)
+    argv = []
+    for arg in args:
+        if arg is DATA:
+            arg = data_csv
+        elif isinstance(arg, tuple):
+            arg = tmp_path / "truth.csv"
+            save_matrix_csv(np.ones(args[-1]), arg)
+        argv.append(arg)
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("text,law", [("chi", RadialLaw("chi", 1.0)),
+                                      ("constant", RadialLaw("constant", 1.0)),
+                                      ("chi:3", RadialLaw("chi", 3.0)),
+                                      ("pareto:2.5", RadialLaw("pareto", 2.5))])
+def test_radial_grammar(text, law):
+    # a bare kind takes parameter 1; `kind:` with nothing after it is an error
+    assert _parse_radial(text) == law
 
 
 class TestThreads:

@@ -258,6 +258,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit("MRE", data, alpha=1.0)
 
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    @pytest.mark.parametrize("n,p", [(0, 0), (0, 64), (5, 0), (-1, 3)])
+    def test_existence_checks_n_and_p_first(self, kind, n, p):
+        # ahead of every kind's own rule (TRE's p/n, the missing u of ME/MRE)
+        with pytest.raises(ValueError, match=rf"n and p must be positive, got n={n}, p={p}"):
+            estimators.require_existence(kind, n, p, alpha=1.0)
+
     def test_tyler_kinds_are_the_maronna_template_with_tyler_u(self):
         data = sample(DistributionSpec("laplace-iid"), 80, 20, seed=14)
         tre = tyler_regularized(data, 0.5)

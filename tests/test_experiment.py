@@ -7,6 +7,7 @@ from robust_scatter import (
     DistributionSpec,
     ExistenceError,
     ExperimentConfig,
+    ScatterMatrix,
     SolverConfig,
     derive_seed,
     eigen_bounds_diag,
@@ -139,6 +140,22 @@ class TestWeightDeviationExperiment:
             ExperimentConfig(kind="TE", dist=GAUSS, dims=(16, 32), ratio=1)
         with pytest.raises(ExistenceError, match="needs alpha"):
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(16,), alpha=0.0)
+
+
+    def test_sampler_rules_checked_at_construction(self):
+        # every grid dimension, before any draw: not after the valid ones ran
+        with pytest.raises(ValueError, match="even p, got p=65"):
+            ExperimentConfig(kind="TE", dist=DistributionSpec("permuted-smoothed"), dims=(64, 65))
+        with pytest.raises(ValueError, match=r"mean has shape \(64,\), expected \(128,\)"):
+            ExperimentConfig(kind="TE", dist=DistributionSpec("gaussian", mean=np.ones(64)),
+                             dims=(64, 128))
+        with pytest.raises(ValueError, match="n and p must be positive, got n=0, p=0"):
+            ExperimentConfig(kind="TRE", dist=GAUSS, dims=(0, 64), alpha=1.0)
+
+    def test_shaped_spec_rejected_before_dimension_rules(self):
+        spec = DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(16)))
+        with pytest.raises(ValueError, match="must be shape-free"):
+            ExperimentConfig(kind="TE", dist=spec, dims=(16, 32))
 
 
 class TestQuadraticFormDiagnostics:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -64,6 +65,31 @@ def test_import_pins_every_copy_to_one_thread():
         pytest.skip("no OpenBLAS with a known thread setter is loaded")
     assert counts == [1] * len(counts)
     assert len(pinned) == len(counts)
+    assert all(r["threads"] == 1 for r in pinned)
+
+
+def test_copy_mapped_after_import_is_not_pinned(tmp_path):
+    # "pinned" names the copies the import-time pin set, not every copy with
+    # a setter: scipy's OpenBLAS, loaded again under another name after the
+    # import, is reported unmanaged
+    scipy_copy = [c.path for c in openblas_copies()
+                  if c.managed and "64_" not in os.path.basename(c.path)]
+    if not scipy_copy:
+        pytest.skip("scipy's LP64 OpenBLAS is not loaded")
+    late = tmp_path / "liblate_openblas.so"
+    shutil.copy(scipy_copy[0], late)
+    code = ("import ctypes, json, sys; from robust_scatter import parallel; "
+            "ctypes.CDLL(sys.argv[1]); print(json.dumps(parallel.blas_report()))")
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(late)], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    report = json.loads(done.stdout)
+    assert [r for r in report if r["library"] == late.name] == [
+        {"library": late.name, "threads": None, "in_loops": "unmanaged"}]
+    pinned = [r for r in report if r["in_loops"] == "pinned"]
+    _assert_both_copies([r["library"] for r in pinned])
     assert all(r["threads"] == 1 for r in pinned)
 
 

@@ -31,6 +31,22 @@ class TestFamilies:
         with pytest.raises(ValueError):
             sample(DistributionSpec("permuted-smoothed"), 10, 5, seed=0)
 
+    @pytest.mark.parametrize("spec,n,p,message", [
+        (DistributionSpec("gaussian"), 0, 4, "n and p must be positive, got n=0, p=4"),
+        (DistributionSpec("gaussian"), 3, 0, "n and p must be positive, got n=3, p=0"),
+        (DistributionSpec("permuted-smoothed"), 3, 5, "even p, got p=5"),
+        (DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(3))), 3, 4,
+         "shape matrix is 3x3, expected p=4"),
+        (DistributionSpec("gaussian", mean=np.zeros(3)), 3, 4,
+         r"mean has shape \(3,\), expected \(4,\)"),
+    ], ids=["n0", "p0", "odd-p", "shape", "mean"])
+    def test_dimension_rules_have_one_owner(self, spec, n, p, message):
+        # `sample` raises exactly what `require_dims` raises
+        with pytest.raises(ValueError, match=message):
+            spec.require_dims(n, p)
+        with pytest.raises(ValueError, match=message):
+            sample(spec, n, p, seed=0)
+
     @pytest.mark.parametrize("sigma", [0.0, float("nan")])
     def test_permuted_smoothed_requires_positive_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma_smooth must be positive"):

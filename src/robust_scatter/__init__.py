@@ -26,7 +26,6 @@ from .estimators import (
     maronna_regularized,
     rational_u,
     require_existence,
-    resolve_u,
     tyler,
     tyler_regularized,
     tyler_u,

@@ -24,6 +24,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from .estimators import (
     ScatterEstimate,
     ScatterMatrix,
     SolverConfig,
+    UFunction,
     fit,
-    resolve_u,
+    huber_u,
+    rational_u,
     tyler,
 )
 from .experiment import (
@@ -50,7 +53,7 @@ from .model import (load_dataset_csv, matrix_csv_text, matrix_norms, sample_cova
 from .parallel import blas_report, require_threads
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
-from .sparse import sparse_cov_estimate
+from .sparse import require_lambda, sparse_cov_estimate
 
 KIND_BY_NAME = {"tyler": "TE", "maronna": "ME", "tyler-reg": "TRE", "maronna-reg": "MRE"}
 DIST_BY_NAME = {
@@ -66,8 +69,8 @@ _DIST_DEFAULTS = {"dist": "gaussian", "sigma": DistributionSpec.sigma_smooth,
                   "radial": "constant:1", "mean": 0.0, "shape_file": None}
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line: exit 1, like every other `ValueError`."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,13 +188,36 @@ def _add_solver_args(sp) -> None:
                     help="map evaluations allowed per solve")
 
 
-def _parse_radial(text: str) -> RadialLaw:
-    """`kind` or `kind:param`; a bare kind takes param 1, an empty param is an error."""
-    kind, sep, arg = text.partition(":")
+def _parse_named(flag: str, text: str, build: Callable):
+    """`build(name, param)` for a `name` or `name:param` flag value: param is
+    None for a bare name, else the finite number after the colon (an empty
+    one is an error). Every error names the flag and the value."""
+    name, sep, arg = text.partition(":")
     try:
-        return RadialLaw(kind, _finite_float(arg) if sep else 1.0)
+        return build(name, _finite_float(arg) if sep else None)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"bad --radial value {text!r}: {exc}") from None
+        raise UsageError(f"bad {flag} value {text!r}: {exc}") from None
+
+
+def _parse_radial(text: str) -> RadialLaw:
+    """`kind` or `kind:param`; a bare kind takes param 1."""
+    return _parse_named("--radial", text, lambda kind, c: RadialLaw(kind, 1.0 if c is None else c))
+
+
+def _resolve_u(text: str, kind: str) -> Optional[UFunction]:
+    """The `--u` weight function of ME and MRE: `rational`, `huber` (t = 2)
+    or `huber:t`. None for the Tyler kinds, which have no u."""
+    if kind not in ("ME", "MRE"):
+        return None
+
+    def build(name, t):
+        if name == "huber":
+            return huber_u() if t is None else huber_u(t)
+        if name == "rational" and t is None:
+            return rational_u()
+        raise ValueError("unknown u function; available: rational, huber:t")
+
+    return _parse_named("--u", text, build)
 
 
 def _dist_spec(args: argparse.Namespace, p: int) -> DistributionSpec:
@@ -231,14 +257,18 @@ def _load_truth(args: argparse.Namespace, p: int):
 def _cmd_estimate(args) -> tuple[str, dict]:
     data = load_dataset_csv(args.input)
     kind = KIND_BY_NAME[args.kind]
-    u = resolve_u(args.u) if kind in ("ME", "MRE") else None
-    est = fit(kind, data, u, args.alpha, _solver_cfg(args)).require_converged()
+    est = fit(kind, data, _resolve_u(args.u, kind), args.alpha,
+              _solver_cfg(args)).require_converged()
     return _json_text(estimate_to_dict(est, data.n)), {}
 
 
 def _cmd_simulate(args) -> tuple[str, dict]:
     kind = KIND_BY_NAME[args.kind]
-    dims = tuple(int(s) for s in args.dims.split(","))
+    try:
+        dims = tuple(int(s) for s in args.dims.split(","))
+    except ValueError:
+        raise UsageError(f"bad --dims value {args.dims!r}: "
+                         "expected comma-separated integers") from None
     cfg = ExperimentConfig(
         kind=kind,
         dist=_dist_spec(args, dims[0]),
@@ -246,7 +276,7 @@ def _cmd_simulate(args) -> tuple[str, dict]:
         ratio=args.ratio,
         reps=args.reps,
         base_seed=args.seed,
-        u=resolve_u(args.u) if kind in ("ME", "MRE") else None,
+        u=_resolve_u(args.u, kind),
         alpha=args.alpha,
         solver=_solver_cfg(args),
         mc_reps=args.mc_reps,
@@ -267,7 +297,7 @@ def _cmd_master_eq(args) -> tuple[str, dict]:
         if not args.gamma > 0:
             raise UsageError(f"--gamma must be positive, got {args.gamma:g}")
         n = int(round(p / args.gamma))
-    u = resolve_u(args.u) if args.kind == "mre" else None
+    u = _resolve_u(args.u, args.kind.upper())
     res = solve_master(_dist_spec(args, p), n, p, args.alpha, u=u, reps=args.reps,
                        seed=args.seed)
     payload = {"kind": res.kind, "p": p, "n": n, "gamma": p / n, "alpha": args.alpha}
@@ -287,7 +317,8 @@ def _cmd_sparse_cov(args) -> tuple[str, dict]:
 
 
 def _cmd_clime(args) -> tuple[str, dict]:
-    require_threads(args.threads)  # before the proxy solve, not after it
+    require_threads(args.threads)  # both before the proxy solve, not after it
+    require_lambda(args.lam)
     data = load_dataset_csv(args.input)
     truth = _load_truth(args, data.p)
     if args.proxy == "tyler":
@@ -435,7 +466,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         return _run(parser.parse_args(argv))
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RobustScatterError as exc:

@@ -33,9 +33,9 @@ means it is below the tolerance too. ``iterations`` counts map
 evaluations. Non-convergence is reported through the ``converged`` flag;
 ``ScatterEstimate.require_converged`` turns it into the one
 ``ConvergenceError`` for callers that need a converged estimate.
-``require_existence`` holds every kind's existence conditions, for the
-solvers and for the experiment and the master equation that predict their
-weights. ``interference_h`` exposes the ME map itself.
+``require_existence`` holds every kind's existence conditions, for ``_solve``
+(each public solver's one call) and for the experiment and the master
+equation that predict their weights. ``interference_h`` exposes the ME map.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "huber_u",
     "tyler_u",
     "make_ufunction",
-    "resolve_u",
     "require_existence",
     "SolverConfig",
     "ScatterEstimate",
@@ -168,17 +167,6 @@ def make_ufunction(u: Callable, name: str = "custom") -> UFunction:
     if float(phi(np.asarray(lo))) < 1.0 <= float(phi(np.asarray(hi))):
         d0 = brentq(lambda x: float(phi(np.asarray(x))) - 1.0, lo, hi)
     return UFunction(name=name, u=u, phi=phi, phi_inf=phi_inf, d0=d0)
-
-
-def resolve_u(name: str) -> UFunction:
-    """Look up a weight function by CLI-style name: 'rational', 'huber'
-    (t = 2) or 'huber:t'."""
-    if name == "rational":
-        return rational_u()
-    base, sep, arg = name.partition(":")
-    if base != "huber":
-        raise ValueError(f"unknown u function {name!r}; available: rational, huber:t")
-    return huber_u(float(arg)) if sep else huber_u()
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +332,13 @@ class _Point(NamedTuple):
 
 def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
            cfg: Optional[SolverConfig]) -> ScatterEstimate:
+    """Every fit: `require_existence`, no zero sample for the Tyler kinds, then the solve."""
+    require_existence(kind, data.n, data.p, u, alpha)
+    tyler_kind = kind in ("TE", "TRE")
+    if tyler_kind:
+        _check_rows(data.samples)
     cfg = cfg or SolverConfig()
-    weigh = (tyler_u() if kind in ("TE", "TRE") else u).u
+    weigh = (tyler_u() if tyler_kind else u).u
     x = np.ascontiguousarray(data.samples)
     n, p = x.shape
 
@@ -457,31 +450,26 @@ def tyler(data: Dataset, cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
     """Tyler's M-estimator: the trace-p solution of
     Sigma = (1/n) sum_i x_i x_i^T / (p^{-1} x_i^T Sigma^{-1} x_i).
 
-    Requires n > p and no zero sample; invariant to per-sample rescaling.
+    Requires n > p and no zero sample (`_solve` checks both first);
+    invariant to per-sample rescaling.
     """
-    require_existence("TE", data.n, data.p)
-    _check_rows(data.samples)
     return _solve("TE", data, None, 0.0, cfg)
 
 
 def maronna(data: Dataset, u: UFunction, cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
-    """Maronna's M-estimator with weight function u (needs phi_inf > 1, n > p)."""
-    require_existence("ME", data.n, data.p, u)
+    """Maronna's M-estimator with weight function u; `_solve` checks phi_inf > 1, n > p."""
     return _solve("ME", data, u, 0.0, cfg)
 
 
 def tyler_regularized(data: Dataset, alpha: float,
                       cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
-    """Regularized Tyler estimator; needs alpha > max(0, p/n - 1) and no zero sample."""
-    require_existence("TRE", data.n, data.p, alpha=alpha)
-    _check_rows(data.samples)
+    """Regularized Tyler estimator; `_solve` checks alpha > max(0, p/n - 1), no zero sample."""
     return _solve("TRE", data, None, alpha, cfg)
 
 
 def maronna_regularized(data: Dataset, u: UFunction, alpha: float,
                         cfg: Optional[SolverConfig] = None) -> ScatterEstimate:
-    """Regularized Maronna estimator; exists uniquely for any alpha > 0."""
-    require_existence("MRE", data.n, data.p, u, alpha)
+    """Regularized Maronna estimator; exists uniquely for any alpha > 0 (`_solve` checks)."""
     return _solve("MRE", data, u, alpha, cfg)
 
 

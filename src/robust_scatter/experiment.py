@@ -47,9 +47,9 @@ class ExperimentConfig:
     (`DistributionSpec.require_dims`) and then `require_existence`, so a
     grid that cannot be drawn, or on which the estimator does not exist,
     fails before any solve.
-    `solver` configures every replicate's solve. `mc_reps` sets the
-    Monte-Carlo draws of the master-equation solve that predicts the TRE/MRE
-    limits (one solve per dimension).
+    `solver` configures every replicate's solve. `mc_reps` (at least 1, for
+    every kind) sets the Monte-Carlo draws of the master-equation solve that
+    predicts the TRE/MRE limits (one solve per dimension).
     """
 
     kind: str
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if self.ratio < 1:
             raise ValueError("ratio must be at least 1")
+        if self.mc_reps < 1:
+            raise ValueError("mc_reps must be at least 1")
         require_threads(self.threads)
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")

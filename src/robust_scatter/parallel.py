@@ -15,8 +15,10 @@ eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
 kernels of ``estimators.quad_forms``, which reaches them through
 ``scipy.linalg.cython_lapack`` and ``cython_blas``). Both are found in
 ``/proc/self/maps`` and set through their C-ABI setters, which take the
-count by value. A copy without a known setter, or mapped after the import,
-is left as it is, and `blas_report` calls it unmanaged.
+count by value. The pin records each copy it set, with its getter and
+setter, in `_PINNED`; `blas_report` reads that record and binds nothing
+itself. A copy without a known setter, or mapped after the import, is left
+as it is, and `blas_report` calls it unmanaged.
 
 The workers are threads, so they overlap only native calls that release the
 GIL: numpy's matrix products and ``linalg``, ``quad_forms``' kernels and
@@ -29,13 +31,12 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 import numpy  # noqa: F401  (both OpenBLAS copies must be mapped before the pin below)
 import scipy.linalg  # noqa: F401
 
-__all__ = ["openblas_copies", "blas_report", "require_threads", "map_units"]
+__all__ = ["blas_report", "require_threads", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -49,20 +50,23 @@ _THREAD_SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
-class OpenBlasCopy:
-    """One loaded OpenBLAS library and, when known, its thread-count calls."""
-
-    path: str
-    get_threads: Optional[Callable[[], int]]
-    set_threads: Optional[Callable[[int], None]]
-
-    @property
-    def managed(self) -> bool:
-        return self.set_threads is not None
+def _openblas_paths() -> List[str]:
+    """Every OpenBLAS library mapped into this process, in map order."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = [line.split()[-1] for line in fh]
+    except OSError:
+        return []
+    return [path for path in dict.fromkeys(paths)
+            if path.startswith("/") and "openblas" in os.path.basename(path).lower()]
 
 
-def _bind(lib: ctypes.CDLL) -> tuple:
+def _thread_calls(path: str):
+    """(get, set) of the OpenBLAS at `path`, or None without a known setter."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
     for get_name, set_name in _THREAD_SYMBOLS:
         try:
             getter, setter = getattr(lib, get_name), getattr(lib, set_name)
@@ -71,26 +75,14 @@ def _bind(lib: ctypes.CDLL) -> tuple:
         getter.argtypes, getter.restype = [], ctypes.c_int
         setter.argtypes, setter.restype = [ctypes.c_int], None
         return getter, setter
-    return None, None
+    return None
 
 
-def openblas_copies() -> List[OpenBlasCopy]:
-    """Every OpenBLAS library mapped into this process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = [line.split()[-1] for line in fh]
-    except OSError:
-        return []
-    copies = []
-    for path in dict.fromkeys(paths):
-        if not path.startswith("/") or "openblas" not in os.path.basename(path).lower():
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        copies.append(OpenBlasCopy(path, *_bind(lib)))
-    return copies
+# The one place thread counts are set, for the life of the process:
+# `_PINNED` maps each path set to its (get, set), the record `blas_report` reads.
+_PINNED = {path: calls for path in _openblas_paths() if (calls := _thread_calls(path))}
+for _get, _set in _PINNED.values():
+    _set(1)
 
 
 def blas_report() -> List[dict]:
@@ -99,21 +91,12 @@ def blas_report() -> List[dict]:
     known setter, or mapped after the pin ran)."""
     return [
         {
-            "library": os.path.basename(c.path),
-            "threads": c.get_threads() if c.path in _PINNED else None,
-            "in_loops": "pinned" if c.path in _PINNED else "unmanaged",
+            "library": os.path.basename(path),
+            "threads": _PINNED[path][0]() if path in _PINNED else None,
+            "in_loops": "pinned" if path in _PINNED else "unmanaged",
         }
-        for c in openblas_copies()
+        for path in _openblas_paths()
     ]
-
-
-# The one place thread counts are set: every managed copy, for the life of
-# the process. `_PINNED` records the paths it set, for `blas_report`.
-_PINNED = set()
-for _copy in openblas_copies():
-    if _copy.managed:
-        _copy.set_threads(1)
-        _PINNED.add(_copy.path)
 
 
 def require_threads(threads: int) -> None:

@@ -30,6 +30,7 @@ __all__ = [
     "hard_threshold",
     "choose_threshold",
     "sparse_cov_estimate",
+    "require_lambda",
     "clime_column",
     "clime",
 ]
@@ -56,25 +57,37 @@ def hard_threshold(m: np.ndarray, t: float) -> np.ndarray:
     return np.where(np.abs(a) >= t, a, 0.0)
 
 
-def choose_threshold(n: float, p: float, scale: float, c1: float) -> float:
-    """t = c1 * scale * sqrt(log(p) / n), with `scale` an operator-norm proxy."""
+def _require_threshold_args(n: float, p: float, c1: float) -> None:
     if not (n >= 1 and p > 1):
         raise ValueError("need n >= 1 and p > 1")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
     if not c1 >= 0:
         raise ValueError("c1 must be nonnegative")
+
+
+def choose_threshold(n: float, p: float, scale: float, c1: float) -> float:
+    """t = c1 * scale * sqrt(log(p) / n), with `scale` an operator-norm proxy."""
+    _require_threshold_args(n, p, c1)
+    if not scale > 0:
+        raise ValueError("scale must be positive")
     return float(c1 * scale * math.sqrt(math.log(p) / n))
 
 
 def sparse_cov_estimate(data: Dataset, c1: float,
                         cfg: Optional[SolverConfig] = None) -> SparseEstimate:
-    """Tyler's estimator followed by hard thresholding at the data-driven t."""
+    """Tyler's estimator followed by hard thresholding at the data-driven t.
+    The n, p and c1 rules of `choose_threshold` run before the solve."""
+    _require_threshold_args(data.n, data.p, c1)
     dense = tyler(data, cfg).require_converged().matrix.entries
     norms = matrix_norms(dense)
     t = choose_threshold(data.n, data.p, norms.operator_norm, c1)
     out = hard_threshold(dense, t)
     return SparseEstimate(matrix=out, method="threshold", parameter=t, input_norms=norms)
+
+
+def require_lambda(lam: float) -> None:
+    """`ValueError` unless the CLIME bound lambda is positive."""
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
 
 
 def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
@@ -84,8 +97,7 @@ def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     rows) and the HiGHS dual simplex behind `solve_lp`. Raises
     InfeasibleError when no w satisfies the constraint at this lambda.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    require_lambda(lam)
     p = s_hat.p
     if not 0 <= j < p:
         raise IndexError(f"column index {j} out of range for p={p}")
@@ -103,8 +115,9 @@ def clime(s_hat: ScatterMatrix, lam: float, threads: int = 1) -> SparseEstimate:
 
     Symmetrization keeps, for each (i, j), whichever of the two column
     estimates has the smaller magnitude (exact ties average), so the output
-    equals its transpose exactly.
+    equals its transpose exactly. A bad lambda fails before the worker map.
     """
+    require_lambda(lam)
     cols = map_units(lambda j: clime_column(s_hat, j, lam), range(s_hat.p), threads)
     w = np.column_stack(cols)  # w[i, j] = column-j estimate of entry (i, j)
 

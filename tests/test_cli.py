@@ -12,7 +12,7 @@ import robust_scatter
 from robust_scatter import (DistributionSpec, RadialLaw, SolverConfig, clime, fit,
                              load_dataset_csv, matrix_norms, rational_u, sample,
                              sample_covariance, save_matrix_csv, sparse_cov_estimate, tyler)
-from robust_scatter.cli import _parse_radial, build_parser, estimate_to_dict, main
+from robust_scatter.cli import _parse_radial, _resolve_u, build_parser, estimate_to_dict, main
 from robust_scatter.model import matrix_csv_text
 
 
@@ -93,7 +93,7 @@ class TestEstimate:
                    "--out", out) == 1
         cap = capsys.readouterr()
         assert cap.out == ""
-        assert cap.err == "error: huber threshold t must be positive and finite\n"
+        assert cap.err == "error: bad --u value 'huber:inf': expected a finite number, got 'inf'\n"
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
     def test_existence_error_exits_1(self, tmp_path, capsys):
@@ -415,6 +415,7 @@ def test_non_finite_float_flag_exits_1(command, flags, value, data_csv, tmp_path
 
 
 DATA = object()  # stands for the dataset CSV of `data_csv`
+ONE_COLUMN = object()  # stands for a 50 x 1 dataset CSV
 # bad invocations (without --out); a tuple is the shape of a --truth matrix
 # written next to the data. Each must be rejected before any solve.
 BAD_INVOCATIONS = {
@@ -435,6 +436,32 @@ BAD_INVOCATIONS = {
     "gamma-0": ("master-eq", "--kind", "tre", "--alpha", "1", "--p", "20", "--gamma", "0",
                 "--seed", "3"),
     "threads-0": ("clime", "--input", DATA, "--lambda", "0.3", "--threads", "0"),
+    "clime-lambda-0": ("clime", "--input", DATA, "--lambda", "0"),
+    "sparse-cov-c1-negative": ("sparse-cov", "--input", DATA, "--c1", "-1"),
+    "sparse-cov-one-column": ("sparse-cov", "--input", ONE_COLUMN, "--c1", "0.5"),
+    "mc-reps-0": ("simulate", "--kind", "tyler", "--dims", "16", "--reps", "2", "--seed", "1",
+                  "--mc-reps", "0"),
+    "u-huber-empty": ("estimate", "--kind", "maronna", "--input", DATA, "--u", "huber:"),
+    "u-huber-not-a-number": ("estimate", "--kind", "maronna", "--input", DATA,
+                             "--u", "huber:abc"),
+}
+# the one stderr line of each, after `error: `; a flag the CLI splits itself is named
+EXPECTED_ERRORS = {
+    "tre-dims-0": "n and p must be positive, got n=0, p=0",
+    "odd-permuted-smoothed-dim": "permuted-smoothed requires even p, got p=65",
+    **{f"{command}-truth-{r}x{c}": f"--truth is {r}x{c}, expected 10x10"
+       for command in ("sparse-cov", "clime") for r, c in ((1, 1), (1, 10), (11, 11))},
+    "radial-chi-empty": "bad --radial value 'chi:': expected a finite number, got ''",
+    "radial-constant-empty": "bad --radial value 'constant:': expected a finite number, got ''",
+    "dims-not-integer": "bad --dims value '64,x': expected comma-separated integers",
+    "gamma-0": "--gamma must be positive, got 0",
+    "threads-0": "threads must be at least 1",
+    "clime-lambda-0": "lambda must be positive",
+    "sparse-cov-c1-negative": "c1 must be nonnegative",
+    "sparse-cov-one-column": "need n >= 1 and p > 1",
+    "mc-reps-0": "mc_reps must be at least 1",
+    "u-huber-empty": "bad --u value 'huber:': expected a finite number, got ''",
+    "u-huber-not-a-number": "bad --u value 'huber:abc': expected a finite number, got 'abc'",
 }
 
 
@@ -442,9 +469,10 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a solve ran before the input was rejected")
 
 
-@pytest.mark.parametrize("args", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS.keys())
-def test_failure_contract(args, data_csv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case", BAD_INVOCATIONS, ids=list(BAD_INVOCATIONS))
+def test_failure_contract(case, data_csv, tmp_path, capsys, monkeypatch):
     # exit 1, one `error: ` line on stderr, nothing on stdout, no file written
+    args = BAD_INVOCATIONS[case]
     for module, name in [(robust_scatter.cli, "tyler"), (robust_scatter.cli, "fit"),
                          (robust_scatter.cli, "solve_master"), (robust_scatter.sparse, "tyler"),
                          (robust_scatter.experiment, "fit"),
@@ -454,6 +482,9 @@ def test_failure_contract(args, data_csv, tmp_path, capsys, monkeypatch):
     for arg in args:
         if arg is DATA:
             arg = data_csv
+        elif arg is ONE_COLUMN:
+            arg = tmp_path / "one_column.csv"
+            save_matrix_csv(np.random.default_rng(0).standard_normal((50, 1)), arg)
         elif isinstance(arg, tuple):
             arg = tmp_path / "truth.csv"
             save_matrix_csv(np.ones(args[-1]), arg)
@@ -463,6 +494,7 @@ def test_failure_contract(args, data_csv, tmp_path, capsys, monkeypatch):
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert cap.err == f"error: {EXPECTED_ERRORS[case]}\n"
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -473,6 +505,19 @@ def test_failure_contract(args, data_csv, tmp_path, capsys, monkeypatch):
 def test_radial_grammar(text, law):
     # a bare kind takes parameter 1; `kind:` with nothing after it is an error
     assert _parse_radial(text) == law
+
+
+@pytest.mark.parametrize("name,expected", [("rational", "rational"),
+                                           ("huber", "huber:2"), ("huber:3.5", "huber:3.5")])
+def test_resolve_u_names(name, expected):
+    assert _resolve_u(name, "ME").name == expected
+    assert _resolve_u(name, "TE") is None  # the Tyler kinds have no u
+
+
+@pytest.mark.parametrize("name", ["foo", "rational:2", "huber:x"])
+def test_resolve_u_unknown_name_rejected(name):
+    with pytest.raises(ValueError):
+        _resolve_u(name, "MRE")
 
 
 class TestThreads:

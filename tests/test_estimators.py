@@ -18,7 +18,6 @@ from robust_scatter import (
     maronna,
     maronna_regularized,
     rational_u,
-    resolve_u,
     sample,
     spd_sqrt,
     tyler,
@@ -74,16 +73,6 @@ class TestUFunctions:
         u = make_ufunction(lambda x: 2.0 / (1.0 + np.asarray(x)))
         assert u.d0 == pytest.approx(1.0, abs=1e-9)
         assert u.phi_inf == pytest.approx(2.0, abs=1e-6)
-
-    @pytest.mark.parametrize("name,expected", [("rational", "rational"),
-                                               ("huber", "huber:2"), ("huber:3.5", "huber:3.5")])
-    def test_resolve_u_names(self, name, expected):
-        assert resolve_u(name).name == expected
-
-    @pytest.mark.parametrize("name", ["foo", "rational:2", "huber:x"])
-    def test_resolve_u_unknown_name_rejected(self, name):
-        with pytest.raises(ValueError):
-            resolve_u(name)
 
     def test_inadmissible_u_rejected(self):
         u = huber_u(0.8)  # phi_inf = 0.8 <= 1

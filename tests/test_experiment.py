@@ -152,6 +152,13 @@ class TestWeightDeviationExperiment:
         with pytest.raises(ValueError, match="n and p must be positive, got n=0, p=0"):
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(0, 64), alpha=1.0)
 
+    @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
+    def test_mc_reps_checked_for_every_kind(self, kind):
+        # TE and ME never solve the master equation, yet 0 draws is no config
+        with pytest.raises(ValueError, match="mc_reps must be at least 1"):
+            ExperimentConfig(kind=kind, dist=GAUSS, dims=(16,), u=rational_u(), alpha=1.0,
+                             mc_reps=0)
+
     def test_shaped_spec_rejected_before_dimension_rules(self):
         spec = DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(16)))
         with pytest.raises(ValueError, match="must be shape-free"):

@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 from robust_scatter import parallel
-from robust_scatter.parallel import blas_report, map_units, openblas_copies
+from robust_scatter.parallel import blas_report, map_units
 
 OUTSIDE = 3  # a thread count neither the pin nor a 2-core default picks
 
@@ -31,28 +31,28 @@ def _assert_both_copies(names):
 
 
 @pytest.fixture
-def managed():
-    """Every managed OpenBLAS set to OUTSIDE threads, put back afterwards."""
-    copies = [c for c in openblas_copies() if c.managed]
-    _assert_both_copies([os.path.basename(c.path) for c in copies])
+def pinned_copies():
+    """Every OpenBLAS the pin set, now at OUTSIDE threads, put back afterwards."""
+    copies = dict(parallel._PINNED)  # path -> (get, set)
+    _assert_both_copies([os.path.basename(path) for path in copies])
     if not copies:
         pytest.skip("no OpenBLAS with a known thread setter is loaded")
-    before = [(c, c.get_threads()) for c in copies]
-    for c in copies:
-        c.set_threads(OUTSIDE)
+    before = [(set_threads, get_threads()) for get_threads, set_threads in copies.values()]
+    for _, set_threads in copies.values():
+        set_threads(OUTSIDE)
     try:
-        yield {c.path: OUTSIDE for c in copies}
+        yield {path: OUTSIDE for path in copies}
     finally:
-        for c, n in before:
-            c.set_threads(n)
+        for set_threads, n in before:
+            set_threads(n)
 
 
 def test_import_pins_every_copy_to_one_thread():
     # a fresh process whose environment asks for 3 threads: importing the
-    # package alone must leave every managed copy at 1
+    # package alone must leave every copy with a known setter at 1
     code = ("import json; import robust_scatter; from robust_scatter import parallel; "
-            "print(json.dumps([[c.get_threads() for c in parallel.openblas_copies() "
-            "if c.managed], parallel.blas_report()]))")
+            "print(json.dumps([[get() for get, _ in parallel._PINNED.values()], "
+            "parallel.blas_report()]))")
     src = str(Path(parallel.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(OUTSIDE),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -72,8 +72,7 @@ def test_copy_mapped_after_import_is_not_pinned(tmp_path):
     # "pinned" names the copies the import-time pin set, not every copy with
     # a setter: scipy's OpenBLAS, loaded again under another name after the
     # import, is reported unmanaged
-    scipy_copy = [c.path for c in openblas_copies()
-                  if c.managed and "64_" not in os.path.basename(c.path)]
+    scipy_copy = [path for path in parallel._PINNED if "64_" not in os.path.basename(path)]
     if not scipy_copy:
         pytest.skip("scipy's LP64 OpenBLAS is not loaded")
     late = tmp_path / "liblate_openblas.so"
@@ -94,14 +93,15 @@ def test_copy_mapped_after_import_is_not_pinned(tmp_path):
 
 
 def test_no_op_when_discovery_finds_nothing(monkeypatch):
-    monkeypatch.setattr(parallel, "openblas_copies", lambda: [])
+    monkeypatch.setattr(parallel, "_openblas_paths", lambda: [])
     assert blas_report() == []
 
 
-def test_blas_report_lists_each_copy(managed):
+def test_blas_report_lists_each_copy(pinned_copies):
     report = blas_report()
     pinned = [r for r in report if r["in_loops"] == "pinned"]
-    assert sorted(r["library"] for r in pinned) == sorted(os.path.basename(p) for p in managed)
+    assert sorted(r["library"] for r in pinned) == sorted(
+        os.path.basename(p) for p in pinned_copies)
     assert all(r["threads"] == OUTSIDE for r in pinned)
 
 

@@ -16,7 +16,12 @@ from robust_scatter import (
     sparse_cov_estimate,
     tyler,
 )
+import robust_scatter.sparse
 from lp_oracle import clime_column_oracle
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("work ran before the input was rejected")
 
 
 class TestHardThreshold:
@@ -95,6 +100,14 @@ class TestSparseCovPipeline:
         assert est.method == "threshold"
         assert est.parameter == pytest.approx(t)
 
+    def test_threshold_rules_checked_before_the_solve(self, monkeypatch):
+        monkeypatch.setattr(robust_scatter.sparse, "tyler", _no_solve)
+        data = sample(DistributionSpec("gaussian"), 80, 10, seed=3)
+        with pytest.raises(ValueError, match="c1 must be nonnegative"):
+            sparse_cov_estimate(data, c1=-1.0)
+        with pytest.raises(ValueError, match=r"need n >= 1 and p > 1"):
+            sparse_cov_estimate(Dataset(data.samples[:, :1]), c1=0.5)
+
     def test_heavy_tail_identity_offdiagonals_cleared(self):
         spec = DistributionSpec("elliptical", radial_law=RadialLaw("pareto", 2.5))
         data = sample(spec, 500, 50, seed=4)
@@ -155,6 +168,11 @@ class TestClimeColumn:
 
 
 class TestClime:
+    def test_lambda_checked_before_the_map(self, monkeypatch):
+        monkeypatch.setattr(robust_scatter.sparse, "map_units", _no_solve)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            clime(ScatterMatrix(np.eye(4)), 0.0, threads=2)
+
     def test_identity_factor(self):
         est = clime(ScatterMatrix(np.eye(4)), 0.5)
         np.testing.assert_allclose(est.matrix, 0.5 * np.eye(4), atol=1e-10)

@@ -146,9 +146,10 @@ def tyler_u() -> UFunction:
 
 
 def make_ufunction(u: Callable, name: str = "custom") -> UFunction:
-    """Wrap a user weight function: derive phi, estimate phi_inf and locate
-    the unit crossing d0 = phi^{-1}(1) with `brentq` on [1e-12, 1e3], the
-    upper end doubled until phi reaches 1 there."""
+    """Wrap a user weight function: derive phi, estimate phi_inf = phi(1e12)
+    and locate the unit crossing d0 = phi^{-1}(1) with one `brentq` in log x
+    over [1e-12, 1e12]; d0 is None unless phi(1e-12) < 1 < phi_inf. A crossing
+    above 1e12 would come with phi_inf <= 1, which no estimator admits."""
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
     def phi(x):
@@ -158,14 +159,12 @@ def make_ufunction(u: Callable, name: str = "custom") -> UFunction:
     # phi is non-decreasing and bounded; probe far out for its supremum
     phi_inf = float(phi(np.asarray(1e12)))
 
-    lo, hi = 1e-12, 1e3
-    expansions = 0
-    while phi(np.asarray(hi)) < 1.0 and expansions < 200:
-        hi *= 2.0
-        expansions += 1
+    def excess(t: float) -> float:
+        return float(phi(np.asarray(math.exp(t)))) - 1.0
+
     d0 = None
-    if float(phi(np.asarray(lo))) < 1.0 <= float(phi(np.asarray(hi))):
-        d0 = brentq(lambda x: float(phi(np.asarray(x))) - 1.0, lo, hi)
+    if float(phi(np.asarray(1e-12))) < 1.0 < phi_inf:
+        d0 = math.exp(brentq(excess, math.log(1e-12), math.log(1e12)))
     return UFunction(name=name, u=u, phi=phi, phi_inf=phi_inf, d0=d0)
 
 

@@ -110,9 +110,9 @@ class DimResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     """Per-dimension deviation statistics plus fitted log-log decay slopes:
-    the `simulate` sidecar's keys, in order (``wall_time`` is written as
-    ``experiment_wall_time_s``). The six fit fields are None without a slope:
-    one dimension, or a mean deviation of 0 (every weight exactly at w*).
+    the `simulate` sidecar's keys, in order. The six fit fields are None
+    without a slope: one dimension, or a mean deviation of 0 (every weight
+    exactly at w*).
     ``predicted_weight`` is w* at the largest dimension; each row has its own.
     """
 
@@ -124,7 +124,7 @@ class ExperimentReport:
     r2_rmse: Optional[float]
     predicted_weight: float
     rows: Tuple[DimResult, ...]
-    wall_time: float
+    experiment_wall_time_s: float
 
 
 def weight_deviations(weights: np.ndarray, w_star: float) -> Tuple[float, float]:
@@ -214,7 +214,7 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         slope_rmse=slope_r, intercept_rmse=icpt_r, r2_rmse=r2_r,
         predicted_weight=rows[-1].w_star,
         rows=tuple(rows),
-        wall_time=time.perf_counter() - t0,
+        experiment_wall_time_s=time.perf_counter() - t0,
     )
 
 

@@ -15,11 +15,11 @@ has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
 Q is estimated by Monte Carlo. One set of draws is built once and reused for
 every d evaluated during root finding (common random numbers), which keeps
-the empirical F continuous and exactly monotone in d, so scipy's `brentq`
-finds its root to double precision on those draws. The Monte-Carlo error of
-d* therefore comes from the draws alone. Each draw keeps the eigenvalues of
-S'; only a general Sigma_p also needs its eigenvectors. Each draw is seeded
-by its rep index.
+the empirical F continuous and exactly monotone in d, so one call of scipy's
+`brentq` in log d, over the whole search range, finds its root to double
+precision on those draws. The Monte-Carlo error of d* therefore comes from
+the draws alone. Each draw keeps the eigenvalues of S'; only a general
+Sigma_p also needs its eigenvectors. Each draw is seeded by its rep index.
 """
 
 from __future__ import annotations
@@ -47,15 +47,13 @@ MC_REPS = 200  # Monte-Carlo draws of Q when the caller names no count
 class MasterEquationResult:
     """Root of the master equation with Monte-Carlo error bars.
 
-    ``bracket`` is the sign-change bracket handed to `brentq` (F > 1 at the
-    left endpoint, < 1 at the right, on the frozen draws); ``f_residual`` is
-    |F(d_star) - 1| on the same draws. ``q_star`` is the Monte-Carlo Q at
-    ``d_star`` and ``mc_stderr`` its standard error (of Q, not of d_star).
+    ``f_residual`` is |F(d_star) - 1| on the frozen draws. ``q_star`` is
+    the Monte-Carlo Q at ``d_star`` and ``mc_stderr`` its standard error
+    (of Q, not of d_star).
     ``predicted_weight`` is the limit weight u(d_star) (1/d_star for TRE).
     """
 
     d_star: float
-    bracket: Tuple[float, float]
     f_residual: float
     mc_reps: int
     mc_stderr: float
@@ -67,9 +65,10 @@ class MasterEquationResult:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Rep r draws n-1 rows with ``sample(spec, n - 1, p, derive_seed(seed, r))``,
-    so the rows are x = mu + Y Sigma_p^{1/2}, exactly as every other draw of
-    `spec`, forms S' = X^T X / n and keeps its eigenvalues. At identity shape
+    Rep r draws n-1 rows (so n >= 2) with
+    ``sample(spec, n - 1, p, derive_seed(seed, r))``, so the rows are
+    x = mu + Y Sigma_p^{1/2}, exactly as every other draw of `spec`, forms
+    S' = X^T X / n and keeps its eigenvalues. At identity shape
     (`spec.shape` None) nothing else is needed; for a general
     Sigma_p = `spec.shape` the rep eigendecomposes S' and also keeps
     diag(U^T Sigma_p U).
@@ -80,8 +79,8 @@ class QMonteCarlo:
     def __init__(self, spec: DistributionSpec, n: int, p: int, reps: int, seed: int):
         if reps < 1:
             raise ValueError("reps must be at least 1")
-        self.n = int(n)
-        self.p = int(p)
+        if n < 2:
+            raise ValueError(f"the master equation draws n - 1 rows and needs n >= 2, got n={n}")
         self.reps = int(reps)
         shape = spec.shape
 
@@ -106,21 +105,19 @@ class QMonteCarlo:
         return mean, float(per_rep.std(ddof=1) / math.sqrt(self.reps))
 
 
-def _f_from_q(q: float, phi_d: float, alpha: float, gamma: float) -> float:
-    return (1.0 + alpha) * q / (1.0 + gamma * phi_d * q)
-
-
 def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
                  u: Optional[UFunction] = None, reps: int = MC_REPS,
                  seed: int = 0) -> MasterEquationResult:
-    """Solve F(d*) = 1 with `brentq` on the Monte-Carlo estimate of F
-    (common random numbers across all d), after growing the bracket
-    [0.5, 2] by factors of 2 until F - 1 changes sign on it. Sigma_p is
-    `spec.shape` (the identity when None).
+    """Solve F(d*) = 1 with one `brentq` in t = log d on the Monte-Carlo
+    estimate of F (common random numbers across all d), over
+    d in [0.5 * 2^-60, 2 * 2^60]. `ConvergenceError` unless F - 1 is > 0 at
+    the low end and < 0 at the high end. Sigma_p is `spec.shape` (the
+    identity when None).
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), otherwise the
     MRE case with weights u(d*). Each has its estimator's existence
-    condition on alpha, and n, p >= 1 (`estimators.require_existence`).
+    condition on alpha, and n, p >= 1 (`estimators.require_existence`);
+    the draws then need n >= 2 (`QMonteCarlo`), checked before any draw.
     """
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
@@ -133,39 +130,30 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     def f_and_q(d: float) -> Tuple[float, float, float]:
         phi_d = float(ufun.phi(np.asarray(d, dtype=float)))
         q, se = mc.q(phi_d, alpha * d)
-        return _f_from_q(q, phi_d, alpha, gamma), q, se
+        return (1.0 + alpha) * q / (1.0 + gamma * phi_d * q), q, se
 
-    def excess(d: float) -> float:
-        return f_and_q(d)[0] - 1.0
+    def excess(t: float) -> float:
+        return f_and_q(math.exp(t))[0] - 1.0
 
-    # F is decreasing, so at most one end of the bracket has to move
-    lo, hi = 0.5, 2.0
-    g_lo, g_hi = excess(lo), excess(hi)
-    for _ in range(60):
-        if g_lo <= 0.0:
-            lo /= 2.0
-            g_lo = excess(lo)
-        elif g_hi >= 0.0:
-            hi *= 2.0
-            g_hi = excess(hi)
-        else:
-            break
-    if not g_lo > 0.0:
+    # F is decreasing, so a sign change across the whole range brackets the root
+    lo, hi = math.log(0.5 * 2.0 ** -60), math.log(2.0 * 2.0 ** 60)
+    if not excess(lo) > 0.0:
         raise ConvergenceError(
-            "no lower bracket for the master equation within 60 halvings; "
+            "no lower bracket for the master equation down to d = 0.5 * 2^-60; "
             "F never rises above 1 at this Monte-Carlo accuracy"
         )
-    if not g_hi < 0.0:
+    if not excess(hi) < 0.0:
         raise ConvergenceError(
-            "no upper bracket for the master equation within 60 doublings; "
+            "no upper bracket for the master equation up to d = 2 * 2^60; "
             "F never falls below 1 at this Monte-Carlo accuracy"
         )
 
-    d_star = brentq(excess, lo, hi)
+    # t is near 0 at the root, so brentq's default absolute xtol (2e-12)
+    # would stop about 1e-12 short of d* in relative terms
+    d_star = math.exp(brentq(excess, lo, hi, xtol=1e-15))
     f_star, q_star, se_star = f_and_q(d_star)
     return MasterEquationResult(
-        d_star=float(d_star),
-        bracket=(lo, hi),
+        d_star=d_star,
         f_residual=abs(f_star - 1.0),
         mc_reps=reps,
         mc_stderr=se_star,

@@ -229,8 +229,8 @@ class TestMasterEq:
         assert run("master-eq", "--kind", kind, "--alpha", "1", "--p", "20", *flags,
                    "--reps", "20", "--seed", "3") == 0
         doc = loads_strict(capsys.readouterr().out)
-        assert list(doc) == ["kind", "p", "n", "gamma", "alpha", "d_star", "bracket",
-                             "f_residual", "mc_reps", "mc_stderr", "predicted_weight", *extra]
+        assert list(doc) == ["kind", "p", "n", "gamma", "alpha", "d_star", "f_residual",
+                             "mc_reps", "mc_stderr", "predicted_weight", *extra]
         assert doc["kind"] == kind.upper() and doc["mc_reps"] == 20
 
     def test_needs_n_or_gamma(self, capsys):
@@ -417,7 +417,8 @@ def test_non_finite_float_flag_exits_1(command, flags, value, data_csv, tmp_path
 DATA = object()  # stands for the dataset CSV of `data_csv`
 ONE_COLUMN = object()  # stands for a 50 x 1 dataset CSV
 # bad invocations (without --out); a tuple is the shape of a --truth matrix
-# written next to the data. Each must be rejected before any solve.
+# written next to the data. Each must be rejected before any solve, except
+# those of DRAW_CHECKED, which `solve_master` rejects before its first draw.
 BAD_INVOCATIONS = {
     "tre-dims-0": ("simulate", "--kind", "tyler-reg", "--alpha", "1", "--dims", "0,64",
                    "--reps", "2", "--seed", "1"),
@@ -444,6 +445,15 @@ BAD_INVOCATIONS = {
     "u-huber-empty": ("estimate", "--kind", "maronna", "--input", DATA, "--u", "huber:"),
     "u-huber-not-a-number": ("estimate", "--kind", "maronna", "--input", DATA,
                              "--u", "huber:abc"),
+    "master-eq-n-1": ("master-eq", "--kind", "tre", "--alpha", "1", "--p", "1", "--n", "1",
+                      "--seed", "3"),
+    "master-eq-gamma-rounds-n-to-1": ("master-eq", "--kind", "tre", "--alpha", "1", "--p", "1",
+                                      "--gamma", "1.5", "--seed", "3"),
+    "tre-ratio-1-dims-1": ("simulate", "--kind", "tyler-reg", "--alpha", "1", "--dims", "1,2",
+                           "--ratio", "1", "--reps", "2", "--seed", "1"),
+    "diagnose-input-p": ("diagnose", "--input", DATA, "--p", "5"),
+    "diagnose-singular-eps-0": ("diagnose", "--p", "3", "--n", "2", "--seed", "1",
+                                "--eps", "0"),
 }
 # the one stderr line of each, after `error: `; a flag the CLI splits itself is named
 EXPECTED_ERRORS = {
@@ -462,7 +472,12 @@ EXPECTED_ERRORS = {
     "mc-reps-0": "mc_reps must be at least 1",
     "u-huber-empty": "bad --u value 'huber:': expected a finite number, got ''",
     "u-huber-not-a-number": "bad --u value 'huber:abc': expected a finite number, got 'abc'",
+    **dict.fromkeys(("master-eq-n-1", "master-eq-gamma-rounds-n-to-1", "tre-ratio-1-dims-1"),
+                    "the master equation draws n - 1 rows and needs n >= 2, got n=1"),
+    "diagnose-input-p": "diagnose --input does not sample; drop --p",
+    "diagnose-singular-eps-0": "sample covariance is singular at eps = 0",
 }
+DRAW_CHECKED = {"master-eq-n-1", "master-eq-gamma-rounds-n-to-1", "tre-ratio-1-dims-1"}
 
 
 def _no_solve(*args, **kwargs):
@@ -473,10 +488,14 @@ def _no_solve(*args, **kwargs):
 def test_failure_contract(case, data_csv, tmp_path, capsys, monkeypatch):
     # exit 1, one `error: ` line on stderr, nothing on stdout, no file written
     args = BAD_INVOCATIONS[case]
-    for module, name in [(robust_scatter.cli, "tyler"), (robust_scatter.cli, "fit"),
-                         (robust_scatter.cli, "solve_master"), (robust_scatter.sparse, "tyler"),
-                         (robust_scatter.experiment, "fit"),
-                         (robust_scatter.experiment, "solve_master")]:
+    stubs = [(robust_scatter.cli, "tyler"), (robust_scatter.cli, "fit"),
+             (robust_scatter.sparse, "tyler"), (robust_scatter.experiment, "fit")]
+    if case in DRAW_CHECKED:
+        stubs.append((robust_scatter.master_equation, "sample"))
+    else:
+        stubs += [(robust_scatter.cli, "solve_master"),
+                  (robust_scatter.experiment, "solve_master")]
+    for module, name in stubs:
         monkeypatch.setattr(module, name, _no_solve)
     argv = []
     for arg in args:
@@ -608,6 +627,7 @@ class TestDiagnose:
         ("--mean", "5"), ("--shape-file", "missing.csv"),
         ("--dist", "elliptical", "--radial", "pareto:3", "--mean", "5",
          "--shape-file", "missing.csv"),
+        ("--p", "50", "--n", "7", "--seed", "3"),
     ])
     def test_input_rejects_sampling_flags(self, flags, data_csv, tmp_path, capsys):
         args = _commands(data_csv, tmp_path)["diagnose"]

@@ -74,6 +74,22 @@ class TestUFunctions:
         assert u.d0 == pytest.approx(1.0, abs=1e-9)
         assert u.phi_inf == pytest.approx(2.0, abs=1e-6)
 
+    def test_make_ufunction_evaluates_u_no_farther_than_phi_inf(self):
+        # phi = 2x^5/(1+x^5): x^5 overflows past about 1e61, so a search that
+        # reached that far would see phi = 0 there and lose the crossing at 1
+        with np.errstate(over="raise"):
+            u = make_ufunction(lambda x: 2.0 * np.asarray(x) ** 4 / (1.0 + np.asarray(x) ** 5))
+        assert u.d0 == pytest.approx(1.0, abs=1e-9)
+        assert u.phi_inf == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("u", [lambda x: 1.0 / (1.0 + np.asarray(x)),
+                                   lambda x: 1.0 / np.maximum(x, 1.0)],
+                             ids=["below-1", "plateau-at-1"])
+    def test_make_ufunction_without_sign_change_has_no_d0(self, u):
+        # phi = x/(1+x) never crosses 1 (in floats it reaches 1.0 past 2^53), and
+        # phi = min(x, 1) meets 1 on a plateau, as huber_u(1) does: no unique d0
+        assert make_ufunction(u).d0 is None
+
     def test_inadmissible_u_rejected(self):
         u = huber_u(0.8)  # phi_inf = 0.8 <= 1
         data = Dataset(np.random.default_rng(0).standard_normal((10, 2)))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import robust_scatter.master_equation
 from robust_scatter import (
     ConvergenceError,
     DistributionSpec,
@@ -20,6 +21,7 @@ from robust_scatter.master_equation import QMonteCarlo
 
 GAUSS = DistributionSpec("gaussian")
 LAPLACE = DistributionSpec("laplace-iid")
+SEARCH_RANGE = (0.5 * 2.0 ** -60, 2.0 * 2.0 ** 60)  # the ends of solve_master's search in d
 
 
 def zero_u():
@@ -111,6 +113,15 @@ class TestBuild:
             x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
             np.testing.assert_array_equal(mc._lam[r], np.linalg.eigh(x.T @ x / n)[0])
 
+    def test_needs_two_rows(self, monkeypatch):
+        # each rep draws n - 1 rows, so n = 1 is rejected before any draw
+        monkeypatch.setattr(robust_scatter.master_equation, "sample",
+                            lambda *args: pytest.fail("drew before checking n"))
+        for build in (lambda: QMonteCarlo(GAUSS, 1, 1, reps=2, seed=0),
+                      lambda: solve_master(GAUSS, 1, 1, alpha=1.0, u=None, reps=2, seed=0)):
+            with pytest.raises(ValueError, match=r"needs n >= 2, got n=1$"):
+                build()
+
     def test_wrong_dimension_shape_rejected(self):
         spec = replace(GAUSS, shape=ScatterMatrix(np.eye(3)))
         with pytest.raises(ValueError, match="expected p=4"):
@@ -124,7 +135,7 @@ class TestSolveMaster:
         res = solve_master(GAUSS, 120, 60, alpha=1.0, u=None, reps=200, seed=3)
         q, se = QMonteCarlo(GAUSS, 120, 60, reps=200, seed=3).q(1.0, 1.0 * res.d_star)
         assert abs(q - 1.0 / 1.5) <= 3.0 * max(se, 1e-12)
-        assert res.bracket[0] < res.d_star < res.bracket[1]
+        assert SEARCH_RANGE[0] < res.d_star < SEARCH_RANGE[1]
         assert res.predicted_weight == pytest.approx(1.0 / res.d_star, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [GAUSS, LAPLACE], ids=["gaussian", "laplace-iid"])
@@ -135,7 +146,7 @@ class TestSolveMaster:
         assert res.f_residual <= 1e-12
         if u is None:
             assert abs(res.q_star - 1.0 / (1.0 + alpha - p / n)) <= 1e-12
-        # the reported bracket is a sign change of F - 1 on the same draws
+        # F - 1 changes sign over the search range on the same draws
         mc = QMonteCarlo(spec, n, p, reps=200, seed=7)
         ufun = tyler_u() if u is None else u
 
@@ -144,7 +155,7 @@ class TestSolveMaster:
             q, _ = mc.q(phi_d, alpha * d)
             return (1.0 + alpha) * q / (1.0 + p / n * phi_d * q)
 
-        lo, hi = res.bracket
+        lo, hi = SEARCH_RANGE
         assert f_of(lo) > 1.0 > f_of(hi)
         assert lo < res.d_star < hi
 

@@ -1,10 +1,12 @@
-"""Small LPs through scipy's HiGHS dual simplex.
+"""Small LPs with ranged rows through scipy's HiGHS.
 
-Solves   min c^T x   subject to   A x <= b,  x >= 0,
+Solves   min c^T x   subject to   lb <= A x <= ub,  x >= 0
 
-and maps the HiGHS outcome onto the package's typed errors. ``linprog`` is
-imported on first use: ``scipy.optimize`` adds more than half to the
-package's import time, and only the CLIME pipeline needs it.
+(lb = -inf for a one-sided row) as one ``LinearConstraint`` handed to
+``scipy.optimize.milp`` with no integrality, and maps the HiGHS outcome
+onto the package's typed errors. ``milp`` is imported on first use:
+``scipy.optimize`` adds more than half to the package's import time, and
+only the CLIME pipeline needs it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ from .errors import ConvergenceError, InfeasibleError, UnboundedError
 __all__ = ["solve_lp"]
 
 
-def solve_lp(c, a_ub, b_ub):
-    """Minimize c @ x over {A x <= b, x >= 0}; returns (x, objective).
+def solve_lp(c, a, lb, ub):
+    """Minimize c @ x over {lb <= A x <= ub, x >= 0}; returns (x, objective).
 
     Raises InfeasibleError or UnboundedError as appropriate, and
     ConvergenceError for any other solver failure.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import LinearConstraint, milp
 
     c = np.asarray(c, dtype=float)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    res = milp(c, constraints=LinearConstraint(a, lb, ub))  # milp's default bounds: x >= 0
     if res.status == 2:
         raise InfeasibleError(f"LP infeasible: {res.message}")
     if res.status == 3:

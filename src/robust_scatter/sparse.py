@@ -93,9 +93,10 @@ def require_lambda(lam: float) -> None:
 def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     """Solve one CLIME column:  min ||w||_1  s.t.  ||S_hat w - e_j||_inf <= lambda.
 
-    Uses the w = w+ - w- split (2p nonnegative variables, 2p inequality
-    rows) and the HiGHS dual simplex behind `solve_lp`. Raises
-    InfeasibleError when no w satisfies the constraint at this lambda.
+    Uses the w = w+ - w- split (2p nonnegative variables) and p ranged
+    rows, e_j - lambda <= [S -S] z <= e_j + lambda, solved by HiGHS behind
+    `solve_lp`. Raises InfeasibleError when no w satisfies the constraint
+    at this lambda.
     """
     require_lambda(lam)
     p = s_hat.p
@@ -104,9 +105,7 @@ def clime_column(s_hat: ScatterMatrix, j: int, lam: float) -> np.ndarray:
     m = s_hat.entries
     ej = np.zeros(p)
     ej[j] = 1.0
-    a_ub = np.block([[m, -m], [-m, m]])
-    b_ub = np.concatenate([ej + lam, lam - ej])
-    z, _ = solve_lp(np.ones(2 * p), a_ub, b_ub)
+    z, _ = solve_lp(np.ones(2 * p), np.hstack([m, -m]), ej - lam, ej + lam)
     return z[:p] - z[p:]
 
 

@@ -1,16 +1,16 @@
-"""Brute-force oracle for the column l1 program used by the CLIME tests.
+"""Oracles for the column l1 program used by the CLIME tests,
 
-Enumerates every candidate optimal vertex of
+    min ||w||_1   subject to   ||M w - e_j||_inf <= lam.
 
-    min ||w||_1   subject to   ||M w - e_j||_inf <= lam
-
-by support pattern: choose the zero coordinates, the tight constraint rows
+`clime_column_oracle` enumerates every candidate optimal vertex by support
+pattern: choose the zero coordinates, the tight constraint rows
 and their signs, solve the resulting square linear system, and keep the
 feasible candidates. At an optimal basic solution of the standard-form
 reformulation, (number of zero coordinates) + (number of tight rows) >= p
 with a nonsingular square subsystem in the generic case, so for random
 instances this enumeration visits every optimal vertex. Independent of the
-simplex implementation under test.
+LP solver under test. `clime_column_linprog` solves the program's 2p-row
+inequality form, for sizes beyond enumeration.
 """
 
 from itertools import combinations, product
@@ -56,3 +56,24 @@ def clime_column_oracle(m, j, lam, feas_tol=1e-8):
     if best is None:
         return None
     return best, best_obj
+
+
+def clime_column_linprog(m, j, lam):
+    """Return (w, objective) of the same column program in its 2p-row form,
+
+        [M -M; -M M] z <= [e_j + lam; lam - e_j],  z >= 0,  w = z+ - z-,
+
+    solved by scipy's ``linprog`` with the HiGHS dual simplex. A second LP
+    form for the CLIME tests, independent of the ranged rows under test.
+    """
+    from scipy.optimize import linprog
+
+    m = np.asarray(m, dtype=float)
+    p = m.shape[0]
+    ej = np.zeros(p)
+    ej[j] = 1.0
+    res = linprog(np.ones(2 * p), A_ub=np.block([[m, -m], [-m, m]]),
+                  b_ub=np.concatenate([ej + lam, lam - ej]), bounds=(0, None),
+                  method="highs-ds")
+    assert res.status == 0, res.message
+    return res.x[:p] - res.x[p:], float(res.fun)

@@ -128,6 +128,17 @@ class DistributionSpec:
         if self.mean is not None and self.mean.shape != (p,):
             raise ValueError(f"mean has shape {self.mean.shape}, expected ({p},)")
 
+    @property
+    def shifted(self) -> bool:
+        """True when `sample` adds a mean: `mean` is set and not all zero."""
+        return self.mean is not None and bool(np.any(self.mean != 0.0))
+
+    @property
+    def standard_gaussian(self) -> bool:
+        """True when `sample` draws i.i.d. standard normal rows: family
+        ``gaussian``, no `shape` and no mean (`shifted` false)."""
+        return self.family == "gaussian" and self.shape is None and not self.shifted
+
 
 def spd_sqrt(shape: ScatterMatrix) -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition.
@@ -179,7 +190,7 @@ def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
     rows = _isotropic_rows(spec, n, p, rng)
     if spec.root is not None:
         rows = rows @ spec.root  # the root is symmetric
-    if spec.mean is not None and np.any(spec.mean != 0.0):
+    if spec.shifted:
         rows = rows + spec.mean
     return Dataset(rows)
 

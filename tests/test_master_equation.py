@@ -79,15 +79,44 @@ class TestBuild:
     only at identity shape, and the shape read from the spec."""
 
     def test_identity_shape_keeps_the_eigenvalues_of_each_draw(self):
+        # a non-Gaussian spec keeps the dense draw: rep r is the spectrum of
+        # the Gram of the rows `sample` makes
         n, p, seed = 50, 12, 8
-        mc = QMonteCarlo(GAUSS, n, p, reps=6, seed=seed)
+        mc = QMonteCarlo(LAPLACE, n, p, reps=6, seed=seed)
         for r in range(6):
-            x = sample(GAUSS, n - 1, p, derive_seed(seed, r)).samples
+            x = sample(LAPLACE, n - 1, p, derive_seed(seed, r)).samples
             expected = np.linalg.eigh(x.T @ x / n)[0]
             assert np.max(np.abs(mc._lam[r] - expected)) <= 1e-12 * expected[-1]
         # at identity shape Q is the mean of 1/(phi lambda + alpha d) over the draws
         q, _ = mc.q(0.7, 1.3)
         assert q == pytest.approx(np.mean(1.0 / (0.7 * mc._lam + 1.3)), rel=1e-14)
+
+    @pytest.mark.parametrize("n,p", [(50, 12), (9, 12)], ids=["p<n-1", "p>n-1"])
+    def test_gaussian_reps_are_the_bidiagonal_model(self, n, p):
+        # rep r is the spectrum of B^T B / n, with B rebuilt from that rep's
+        # seeded chi draws: diagonal chi_{K-i+1}, superdiagonal chi_{k-i}
+        seed, m = 8, n - 1
+        k, big = min(m, p), max(m, p)
+        mc = QMonteCarlo(GAUSS, n, p, reps=6, seed=seed)
+        for r in range(6):
+            rng = np.random.default_rng(derive_seed(seed, r))
+            a = np.sqrt(rng.chisquare(np.arange(big, big - k, -1.0)))
+            b = np.sqrt(rng.chisquare(np.arange(k - 1, 0, -1.0)))
+            bidiag = np.diag(a) + np.diag(b, 1)
+            expected = np.linalg.eigvalsh(bidiag.T @ bidiag) / n
+            assert np.count_nonzero(mc._lam[r] == 0.0) == p - k
+            assert np.max(np.abs(mc._lam[r][p - k:] - expected)) <= 1e-12 * expected[-1]
+
+    @pytest.mark.parametrize("n,p", [(41, 20), (11, 20)])
+    def test_gaussian_reps_follow_the_wishart_moments(self, n, p):
+        # E tr S' = mp/n and E tr S'^2 = mp(m+p+1)/n^2 for X^T X ~ W_p(m, I),
+        # m = n - 1; each within 4 standard errors of the reps' own mean
+        m, reps = n - 1, 2000
+        lam = QMonteCarlo(GAUSS, n, p, reps=reps, seed=21)._lam
+        for stat, exact in ((lam.sum(axis=1), m * p / n),
+                            ((lam ** 2).sum(axis=1), m * p * (m + p + 1) / n ** 2)):
+            se = stat.std(ddof=1) / np.sqrt(reps)
+            assert abs(stat.mean() - exact) <= 4.0 * se
 
     def test_shape_comes_from_the_spec(self):
         # each rep is exactly the eigh of the covariance of the shaped draw
@@ -121,6 +150,16 @@ class TestBuild:
                       lambda: solve_master(GAUSS, 1, 1, alpha=1.0, u=None, reps=2, seed=0)):
             with pytest.raises(ValueError, match=r"needs n >= 2, got n=1$"):
                 build()
+
+    def test_wrong_dimension_mean_rejected_before_any_draw(self, monkeypatch):
+        # an all-zero mean draws standard Gaussian rows, which make no `sample`
+        # call, so the dimension rules run before the first draw
+        for name in ("sample", "_wishart_eigvalsh"):
+            monkeypatch.setattr(robust_scatter.master_equation, name,
+                                lambda *args: pytest.fail("drew before checking dims"))
+        spec = DistributionSpec("gaussian", mean=np.zeros(3))
+        with pytest.raises(ValueError, match=r"^mean has shape \(3,\), expected \(4,\)$"):
+            QMonteCarlo(spec, 20, 4, reps=2, seed=0)
 
     def test_wrong_dimension_shape_rejected(self):
         spec = replace(GAUSS, shape=ScatterMatrix(np.eye(3)))

@@ -116,6 +116,20 @@ class TestFamilies:
         emp_cov = np.cov(data.samples.T)
         np.testing.assert_allclose(emp_cov, shape.entries, atol=0.2)
 
+    def test_standard_gaussian_means_sample_draws_plain_normals(self):
+        # exactly the specs whose `sample` is rng.standard_normal((n, p))
+        plain = np.random.default_rng(3).standard_normal((5, 2))
+        cases = [
+            (DistributionSpec("gaussian"), True),
+            (DistributionSpec("gaussian", mean=np.zeros(2)), True),
+            (DistributionSpec("gaussian", mean=np.array([0.0, 1.0])), False),
+            (DistributionSpec("gaussian", shape=ScatterMatrix(np.diag([1.0, 2.0]))), False),
+            (DistributionSpec("laplace-iid"), False),
+        ]
+        for spec, standard in cases:
+            assert spec.standard_gaussian is standard
+            assert np.array_equal(sample(spec, 5, 2, seed=3).samples, plain) is standard
+
 
 def _shaped(shape, p, seed=4):
     """The same seeded draw without and with `shape`."""

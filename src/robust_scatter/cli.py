@@ -271,24 +271,13 @@ def _cmd_simulate(args) -> tuple[str, dict]:
     except ValueError:
         raise UsageError(f"bad --dims value {args.dims!r}: "
                          "expected comma-separated integers") from None
-    cfg = ExperimentConfig(
-        kind=kind,
-        dist=_dist_spec(args, dims[0]),
-        dims=dims,
-        ratio=args.ratio,
-        reps=args.reps,
-        base_seed=args.seed,
-        u=_resolve_u(args.u, kind),
-        alpha=args.alpha,
-        solver=_solver_cfg(args),
-        mc_reps=args.mc_reps,
-        threads=args.threads,
-    )
-    report = weight_deviation_experiment(cfg)
-    text = "p,n,linf_mean,linf_stderr,rmse_mean,rmse_stderr\n" + matrix_csv_text(
-        [[r.p, r.n, r.linf_mean, r.linf_stderr, r.rmse_mean, r.rmse_stderr]
-         for r in report.rows])
-    return text, asdict(report)
+    report = weight_deviation_experiment(ExperimentConfig(
+        kind=kind, dist=_dist_spec(args, dims[0]), dims=dims, ratio=args.ratio, reps=args.reps,
+        base_seed=args.seed, u=_resolve_u(args.u, kind), alpha=args.alpha,
+        solver=_solver_cfg(args), mc_reps=args.mc_reps, threads=args.threads))
+    columns = ("p", "n", "linf_mean", "linf_stderr", "rmse_mean", "rmse_stderr")  # DimResult's
+    table = [[getattr(r, c) for c in columns] for r in report.rows]
+    return ",".join(columns) + "\n" + matrix_csv_text(table), asdict(report)
 
 
 def _cmd_master_eq(args) -> tuple[str, dict]:

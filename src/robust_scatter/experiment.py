@@ -1,17 +1,19 @@
 """Weight-concentration experiments and spectral diagnostics.
 
 The main entry point re-runs the deviation-vs-dimension experiment: for a
-grid of dimensions p (with n = ratio * p samples), draw seeded replicates,
-solve the chosen estimator, measure how far the weights sit from their
-predicted limit, and fit the log-log decay slope of the mean deviations.
+grid of dimensions p, draw seeded replicates, solve the chosen estimator,
+measure how far the weights sit from their predicted limit, and fit the
+log-log decay slope of the mean deviations. `ExperimentConfig._grid` alone
+makes the grid points (index, p, n = ratio·p); `_STATS` names the statistics.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 
+_GridPoint = NamedTuple("_GridPoint", [("index", int), ("p", int), ("n", int)])
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition for the weight-deviation experiment.
@@ -46,7 +51,8 @@ class ExperimentConfig:
     Construction checks, at every grid dimension, the sampler's rules
     (`DistributionSpec.require_dims`) and then `require_existence`, so a
     grid that cannot be drawn, or on which the estimator does not exist,
-    fails before any solve.
+    fails before any solve: they walk the grid points the experiment runs.
+    `dims`, `ratio`, `reps` and `mc_reps` are integers (numpy ones pass);
     `solver` configures every replicate's solve. `mc_reps` (at least 1, for
     every kind) sets the Monte-Carlo draws of the master-equation solve that
     predicts the TRE/MRE limits (one solve per dimension).
@@ -67,22 +73,32 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer("dims", d) for d in self.dims)
         if len(dims) < 1 or any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dims must be a non-empty strictly increasing sequence")
         object.__setattr__(self, "dims", dims)
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.ratio < 1:
-            raise ValueError("ratio must be at least 1")
-        if self.mc_reps < 1:
-            raise ValueError("mc_reps must be at least 1")
+        for name in ("reps", "ratio", "mc_reps"):
+            value = _integer(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         require_threads(self.threads)
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
-        for p in dims:
-            self.dist.require_dims(self.ratio * p, p)
-            require_existence(self.kind, self.ratio * p, p, self.u, self.alpha)
+        for _, p, n in self._grid():
+            self.dist.require_dims(n, p)
+            require_existence(self.kind, n, p, self.u, self.alpha)
+
+    def _grid(self) -> Iterator[_GridPoint]:
+        """The grid points in order: the one place n is made from p."""
+        return (_GridPoint(k, p, self.ratio * p) for k, p in enumerate(self.dims))
+
+
+def _integer(name: str, value) -> int:
+    try:  # numpy integers pass, stored as int
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integral, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -133,30 +149,39 @@ def weight_deviations(weights: np.ndarray, w_star: float) -> Tuple[float, float]
     return float(dev.max()), float(np.sqrt(np.mean(dev * dev)))
 
 
-def _limit_weight(cfg: ExperimentConfig, dim_index: int, p: int,
-                  n: int) -> Tuple[float, Optional[MasterEquationResult]]:
-    """(w*, the master-equation solve behind it) at one dimension: TE 1/tau_p
+# a converged replicate's `weight_deviations` and map evaluations; each `_STATS` name
+# is a field, with `<name>_mean`/`_stderr` in `DimResult` and `*_<name>` fit fields
+_Replicate = NamedTuple("_Replicate", [("linf", float), ("rmse", float), ("iterations", int)])
+_STATS = ("linf", "rmse")
+
+
+def _stderr(v: np.ndarray) -> float:
+    return 0.0 if v.size <= 1 else float(v.std(ddof=1) / math.sqrt(v.size))
+
+
+def _limit_weight(cfg: ExperimentConfig,
+                  point: _GridPoint) -> Tuple[float, Optional[MasterEquationResult]]:
+    """(w*, the master-equation solve behind it) at one grid point: TE 1/tau_p
     = 1 at the identity shape the config enforces, ME 1/d0 (both closed-form,
     no solve), TRE and MRE u(d*) from the master equation."""
     if cfg.kind == "TE":
         return 1.0, None
     if cfg.kind == "ME":
         return 1.0 / cfg.u.d0, None
-    master = solve_master(cfg.dist, n, p, cfg.alpha, u=cfg.u if cfg.kind == "MRE" else None,
-                          reps=cfg.mc_reps, seed=derive_seed(cfg.base_seed, dim_index, cfg.reps))
+    master = solve_master(cfg.dist, point.n, point.p, cfg.alpha,
+                          u=cfg.u if cfg.kind == "MRE" else None, reps=cfg.mc_reps,
+                          seed=derive_seed(cfg.base_seed, point.index, cfg.reps))
     return master.predicted_weight, master
 
 
-def _replicate(cfg: ExperimentConfig, dim_index: int, p: int, n: int, rep: int,
-               w_star: float):
-    """(linf, rmse, map evaluations) for one seeded replicate, or None when
-    the solve fails."""
-    seed = derive_seed(cfg.base_seed, dim_index, rep)
-    data = sample(cfg.dist, n, p, seed)
+def _replicate(cfg: ExperimentConfig, point: _GridPoint, rep: int,
+               w_star: float) -> Optional[_Replicate]:
+    """One seeded replicate's record, or None when the solve fails."""
+    data = sample(cfg.dist, point.n, point.p, derive_seed(cfg.base_seed, point.index, rep))
     est = fit(cfg.kind, data, cfg.u, cfg.alpha, cfg.solver)
     if not est.converged:
         return None
-    return (*weight_deviations(est.weights, w_star), est.iterations)
+    return _Replicate(*weight_deviations(est.weights, w_star), est.iterations)
 
 
 def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -169,53 +194,37 @@ def weight_deviation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     rows = []
-    for k, p in enumerate(cfg.dims):
-        n = cfg.ratio * p
+    for point in cfg._grid():
         t_master = time.perf_counter()
-        w_star, master = _limit_weight(cfg, k, p, n)
+        w_star, master = _limit_weight(cfg, point)
         master_eq_s = time.perf_counter() - t_master
-        results = map_units(lambda rep: _replicate(cfg, k, p, n, rep, w_star),
+        results = map_units(lambda rep: _replicate(cfg, point, rep, w_star),
                             range(cfg.reps), cfg.threads)
-
         ok = [r for r in results if r is not None]
         failures = cfg.reps - len(ok)
         if failures > 0.1 * cfg.reps:
             raise ConvergenceError(
-                f"{failures}/{cfg.reps} replicates failed to converge at p={p} "
+                f"{failures}/{cfg.reps} replicates failed to converge at p={point.p} "
                 f"(kind={cfg.kind}, family={cfg.dist.family})"
             )
-        linf = np.array([r[0] for r in ok])
-        rmse = np.array([r[1] for r in ok])
-        iterations = [r[2] for r in ok]
-
-        def _stderr(v: np.ndarray) -> float:
-            if v.size <= 1:
-                return 0.0
-            return float(v.std(ddof=1) / math.sqrt(v.size))
-
+        stats = {}
+        for name in _STATS:
+            v = np.array([getattr(r, name) for r in ok])
+            stats[f"{name}_mean"], stats[f"{name}_stderr"] = float(v.mean()), _stderr(v)
+        iterations = [r.iterations for r in ok]
         rows.append(DimResult(
-            p=p, n=n, w_star=w_star,
-            linf_mean=float(linf.mean()), linf_stderr=_stderr(linf),
-            rmse_mean=float(rmse.mean()), rmse_stderr=_stderr(rmse),
-            failures=failures,
+            p=point.p, n=point.n, w_star=w_star, **stats, failures=failures,
             iterations_mean=float(np.mean(iterations)), iterations_max=max(iterations),
-            mc_stderr=None if master is None else master.mc_stderr,
-            master_eq_s=master_eq_s,
-        ))
+            mc_stderr=None if master is None else master.mc_stderr, master_eq_s=master_eq_s))
 
-    if len(rows) >= 2 and all(r.linf_mean > 0 and r.rmse_mean > 0 for r in rows):
-        slope_l, icpt_l, r2_l = fit_loglog_slope([(r.p, r.linf_mean) for r in rows])
-        slope_r, icpt_r, r2_r = fit_loglog_slope([(r.p, r.rmse_mean) for r in rows])
-    else:
-        slope_l = icpt_l = r2_l = slope_r = icpt_r = r2_r = None
-
-    return ExperimentReport(
-        slope_linf=slope_l, intercept_linf=icpt_l, r2_linf=r2_l,
-        slope_rmse=slope_r, intercept_rmse=icpt_r, r2_rmse=r2_r,
-        predicted_weight=rows[-1].w_star,
-        rows=tuple(rows),
-        experiment_wall_time_s=time.perf_counter() - t0,
-    )
+    means = {name: [getattr(r, f"{name}_mean") for r in rows] for name in _STATS}
+    sloped = len(rows) >= 2 and all(m > 0 for ms in means.values() for m in ms)
+    fits = {}
+    for name, ms in means.items():
+        line = fit_loglog_slope(zip(cfg.dims, ms)) if sloped else (None, None, None)
+        fits.update(zip((f"slope_{name}", f"intercept_{name}", f"r2_{name}"), line))
+    return ExperimentReport(**fits, predicted_weight=rows[-1].w_star, rows=tuple(rows),
+                            experiment_wall_time_s=time.perf_counter() - t0)
 
 
 def fit_loglog_slope(points) -> Tuple[float, float, float]:

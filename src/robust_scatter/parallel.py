@@ -31,6 +31,7 @@ in the calling thread, outside any worker loop.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, TypeVar
@@ -102,9 +103,10 @@ def blas_report() -> List[dict]:
 
 
 def require_threads(threads: int) -> None:
-    """`ValueError` unless `threads` is a worker count `map_units` accepts.
-
-    Callers that do work before their map check here first."""
+    """`ValueError` unless `threads` is a worker count `map_units` accepts,
+    an integer of at least 1. Callers doing work before their map check here first."""
+    if not isinstance(threads, numbers.Integral):
+        raise ValueError(f"threads must be integral, got {threads!r}")
     if threads < 1:
         raise ValueError("threads must be at least 1")
 

@@ -132,6 +132,10 @@ class TestSimulate:
                                          "mc_stderr", "master_eq_s"]
         assert all(1 <= r["iterations_mean"] <= r["iterations_max"] <= 500
                    for r in side["rows"])
+        # each CSV cell is the sidecar row field its header names, to 10 significant digits
+        header = lines[0].split(",")
+        for line, row in zip(lines[1:], side["rows"]):
+            assert [float(c) for c in line.split(",")] == [float(f"{row[h]:.10g}") for h in header]
         # ME's limit weight is closed-form: no Monte-Carlo error to report
         assert all(r["mc_stderr"] is None and r["master_eq_s"] >= 0 for r in side["rows"])
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import robust_scatter.experiment
 from robust_scatter import (
     ConvergenceError,
     Dataset,
@@ -90,10 +91,20 @@ class TestWeightDeviationExperiment:
         cfg = ExperimentConfig(kind="TE", dist=GAUSS, dims=(16, 32), reps=3, base_seed=8)
         rep = weight_deviation_experiment(cfg)
         for k, row in enumerate(rep.rows):
-            counts = [tyler(sample(GAUSS, row.n, row.p, derive_seed(8, k, r))).iterations
-                      for r in range(3)]
+            refits = [tyler(sample(GAUSS, row.n, row.p, derive_seed(8, k, r))) for r in range(3)]
+            counts = [est.iterations for est in refits]
             assert row.iterations_mean == pytest.approx(np.mean(counts), rel=1e-15)
             assert row.iterations_max == max(counts)
+            # each statistic's mean and standard error over the refits (TE: w* = 1)
+            devs = np.array([weight_deviations(est.weights, 1.0) for est in refits])
+            for name, col in (("linf", devs[:, 0]), ("rmse", devs[:, 1])):
+                assert getattr(row, f"{name}_mean") == pytest.approx(col.mean(), rel=1e-15)
+                assert getattr(row, f"{name}_stderr") == pytest.approx(
+                    col.std(ddof=1) / np.sqrt(3), rel=1e-15)
+        for name in ("linf", "rmse"):
+            fitted = fit_loglog_slope([(r.p, getattr(r, f"{name}_mean")) for r in rep.rows])
+            reported = [getattr(rep, f"{field}_{name}") for field in ("slope", "intercept", "r2")]
+            assert reported == pytest.approx(fitted, rel=1e-15)
 
     def test_failures_abort(self):
         cfg = ExperimentConfig(kind="TE", dist=GAUSS, dims=(16,), reps=3,
@@ -158,6 +169,26 @@ class TestWeightDeviationExperiment:
         with pytest.raises(ValueError, match="mc_reps must be at least 1"):
             ExperimentConfig(kind=kind, dist=GAUSS, dims=(16,), u=rational_u(), alpha=1.0,
                              mc_reps=0)
+
+    @pytest.mark.parametrize("name, bad, good", [
+        ("dims", (8.7, 16), (np.int64(8), 16)),
+        ("ratio", 2.5, np.int64(3)),
+        ("reps", 2.5, np.int32(2)),
+        ("mc_reps", 2.5, np.int64(20)),
+    ])
+    def test_non_integral_sizes_rejected_before_any_solve(self, monkeypatch, name, bad, good):
+        # TRE, so an accepted config would solve the master equation first
+        calls = []
+        monkeypatch.setattr(robust_scatter.experiment, "solve_master",
+                            lambda *a, **k: calls.append(a))
+        fields = dict(kind="TRE", dist=GAUSS, dims=(8, 16), alpha=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be integral, got "):
+            weight_deviation_experiment(ExperimentConfig(**{**fields, name: bad}))
+        assert calls == []
+        # numpy integers pass, stored as int
+        value = getattr(ExperimentConfig(**{**fields, name: good}), name)
+        assert value == good
+        assert all(type(v) is int for v in (value if name == "dims" else (value,)))
 
     def test_shaped_spec_rejected_before_dimension_rules(self):
         spec = DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(16)))

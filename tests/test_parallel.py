@@ -123,3 +123,11 @@ def test_rejects_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads must be at least 1"):
         map_units(calls.append, range(3), threads)
     assert calls == []
+
+
+def test_rejects_non_integral_threads():
+    calls = []
+    with pytest.raises(ValueError, match="threads must be integral, got 1.5"):
+        map_units(calls.append, range(3), 1.5)
+    assert calls == []
+    assert map_units(calls.append, range(3), np.int64(2)) == [None] * 3  # numpy integers pass

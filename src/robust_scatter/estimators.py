@@ -19,18 +19,39 @@ fixed point iff Sigma(d) solves the estimator equation. The weighted
 covariance is formed as B^T B with B = x * sqrt(w/n) row-wise, which numpy
 hands to SYRK: half the flops of a general product, and exactly symmetric.
 The forms take a Cholesky factor and a triangular inverse or solve, called
-through scipy's Cython LAPACK/BLAS API by ctypes. Like numpy's SYRK, those
-calls release the GIL, so the replicates of a worker pool
-(`parallel.map_units`) run their map evaluations in parallel.
-The solver iterates y = log d from the forms at the identity, mixing each
-step over the last few map values by Anderson acceleration (Walker & Ni,
-SIAM J. Numer. Anal. 2011). A mixed step that raises the RMS log-residual
-is replaced by the plain step from the last accepted point, and the
+through scipy's Cython LAPACK/BLAS API by ctypes, in float64 (``dpotrf``,
+``dtrtri``, ``dtrmm``, ``dtrsm``) or float32 (``spotrf``, ``strtri``,
+``strmm``, ``strsm``). Like numpy's SYRK, those calls release the GIL, so
+the replicates of a worker pool (`parallel.map_units`) run their map
+evaluations in parallel.
+The solver iterates y = log d from the float64 forms at the identity,
+mixing each step over the last few map values by Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 2011). The map runs in two phases, as
+in mixed-precision refinement (Carson & Higham, SIAM J. Sci. Comput.
+2018). First in float32: the data, the weights, Sigma(d) and its factor;
+the forms come back in float64. Once the RMS log-residual is at most
+``_SWITCH`` = 1e-5 (or the tolerance, when that is looser), in float64 to
+the end. y and the Anderson history are float64 throughout and are kept
+across the switch, but two evaluations are compared (by RMS log-residual,
+or as a history pair) only in one precision: across the switch they also
+differ by float32's rounding, about 1e-7, which stalls the mixing when the
+residual is that small. The float32 phase also ends early when a float32
+mixed step does not lower the RMS log-residual, and when a float32 evaluation
+fails (no Cholesky, or forms that are not finite and positive): that
+evaluation is done again in float64, and a float32 failure never raises
+`ExistenceError`. A mixed step that raises the RMS log-residual is
+replaced by the plain float64 step from the last accepted point, and the
 history is cleared. Zero samples (legal for ME/MRE) keep d = 0 outside the
-mixing. Once the RMS log-residual is below the tolerance, the relative
-defining-equation residual is computed at Sigma(d), and ``converged``
-means it is below the tolerance too. ``iterations`` counts map
-evaluations. Non-convergence is reported through the ``converged`` flag;
+mixing. Once a float64 point's RMS log-residual is within ``_CHECK`` = 3
+times the tolerance, the relative defining-equation residual is computed
+at Sigma(d) (one SYRK), and ``converged`` means it is at most the
+tolerance: every converged solve ends on a float64 evaluation.
+``iterations`` counts map evaluations of both precisions; a failed float32
+attempt and its float64 redo are one evaluation, so `quad_forms` runs
+``iterations`` + 1 times, plus once per failed attempt. An unconverged
+solve can stop on a float32 evaluation; its matrix is then that
+evaluation's Sigma(d) and its residual uses that evaluation's forms.
+Non-convergence is reported through the ``converged`` flag;
 ``ScatterEstimate.require_converged`` turns it into the one
 ``ConvergenceError`` for callers that need a converged estimate.
 ``require_existence`` holds every kind's existence conditions, for ``_solve``
@@ -76,6 +97,13 @@ _ZERO_ROW_RTOL = 1e-14
 
 # Anderson mixing keeps the differences of this many past map evaluations
 _WINDOW = 5
+# the map runs in float32 until the RMS log-residual is at most this (or the
+# tolerance, when that is looser), then in float64
+_SWITCH = 1e-5
+# a float64 point's defining residual (one SYRK) is computed once its RMS
+# log-residual is within this factor of the tolerance; the residual runs at
+# 0.15-0.66 times the RMS (n = 2p, p = 64-512)
+_CHECK = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +241,7 @@ class ScatterEstimate:
 # convention: every argument by pointer). A ctypes foreign call releases the
 # GIL, so `map_units` workers overlap these kernels; scipy's f2py wrappers
 # hold the GIL for the whole call.
-_CHAR, _INT, _DOUBLE = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -225,11 +253,29 @@ def _kernel(module, name: str, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
-_dpotrf = _kernel(cython_lapack, "dpotrf", _CHAR, _INT, _DOUBLE, _INT, _INT)
-_dtrtri = _kernel(cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _DOUBLE, _INT, _INT)
-# side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
-_dtrmm = _kernel(cython_blas, "dtrmm", *(_CHAR,) * 4, *(_INT,) * 2, *(_DOUBLE,) * 2, _INT, _DOUBLE, _INT)
-_dtrsm = _kernel(cython_blas, "dtrsm", *(_CHAR,) * 4, *(_INT,) * 2, *(_DOUBLE,) * 2, _INT, _DOUBLE, _INT)
+class _Kernels(NamedTuple):
+    """The four kernels of `quad_forms` in one precision, and its ctypes scalar."""
+
+    prefix: str  # "d" or "s", for error messages
+    scalar: type
+    potrf: Callable
+    trtri: Callable
+    trmm: Callable  # side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
+    trsm: Callable
+
+
+def _bind(prefix: str, scalar: type) -> _Kernels:
+    real = ctypes.POINTER(scalar)
+    triangular = (*(_CHAR,) * 4, *(_INT,) * 2, *(real,) * 2, _INT, real, _INT)
+    return _Kernels(prefix, scalar,
+                    _kernel(cython_lapack, prefix + "potrf", _CHAR, _INT, real, _INT, _INT),
+                    _kernel(cython_lapack, prefix + "trtri", _CHAR, _CHAR, _INT, real, _INT, _INT),
+                    _kernel(cython_blas, prefix + "trmm", *triangular),
+                    _kernel(cython_blas, prefix + "trsm", *triangular))
+
+
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
+_KERNELS = {_FLOAT64: _bind("d", ctypes.c_double), _FLOAT32: _bind("s", ctypes.c_float)}
 
 
 def _require_factor(routine: str, info: ctypes.c_int) -> None:
@@ -241,40 +287,46 @@ def _require_factor(routine: str, info: ctypes.c_int) -> None:
 
 
 def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x.
+    """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x, as float64.
 
     One LAPACK Cholesky sigma = L L^T (``np.linalg.LinAlgError`` naming the
     leading minor when sigma is not positive definite), then
     d_i = |L^{-1} x_i|^2 / p. With at least p rows, L is inverted once and
     applied to x^T by a triangular product; with fewer rows (the one-row
     leave-one-out forms of `experiment.quadratic_form_diagnostics`) one
-    triangular solve is cheaper. The kernels (``dpotrf``, ``dtrtri``,
-    ``dtrmm``, ``dtrsm`` of scipy's OpenBLAS) run without the GIL, in place
-    on a Fortran-ordered copy of sigma and on a C-ordered copy of x, whose
-    memory is the Fortran-ordered x^T they take. Only the lower triangle of
-    sigma is read. `ValueError` unless x is a nonempty n x p array and sigma
-    is p x p.
+    triangular solve is cheaper. The work is done in float32 when x and
+    sigma are both float32 (the solver's first phase: ``spotrf``,
+    ``strtri``, ``strmm``, ``strsm``) and in float64 otherwise (``dpotrf``,
+    ``dtrtri``, ``dtrmm``, ``dtrsm``); the forms are float64 either way.
+    The kernels, scipy's OpenBLAS in both precisions, run without the GIL,
+    in place on a Fortran-ordered copy of sigma and on a C-ordered copy of
+    x, whose memory is the Fortran-ordered x^T they take. Only the lower
+    triangle of sigma is read. `ValueError` unless x is a nonempty n x p
+    array and sigma is p x p.
     """
-    z = np.array(x, dtype=np.float64, order="C")  # p x n x^T, transformed in place
-    chol = np.array(sigma, dtype=np.float64, order="F")
+    x, sigma = np.asarray(x), np.asarray(sigma)
+    dtype = _FLOAT32 if x.dtype == sigma.dtype == _FLOAT32 else _FLOAT64
+    k = _KERNELS[dtype]
+    z = np.array(x, dtype=dtype, order="C")  # p x n x^T, transformed in place
+    chol = np.array(sigma, dtype=dtype, order="F")
     n, p = z.shape
     if z.size == 0 or chol.shape != (p, p):
         raise ValueError(f"quad_forms needs a nonempty n x p x and a p x p sigma, "
                          f"got {z.shape} and {chol.shape}")
     # the kernels get the arrays' first entries by reference; both buffers
     # are C-contiguous (chol.T is), as from_buffer requires
-    a, b = ctypes.c_double.from_buffer(chol.T), ctypes.c_double.from_buffer(z)
+    a, b = k.scalar.from_buffer(chol.T), k.scalar.from_buffer(z)
     dim, cols = ctypes.c_int(p), ctypes.c_int(n)
-    one, info = ctypes.c_double(1.0), ctypes.c_int(0)
-    _dpotrf(b"L", dim, a, dim, info)
-    _require_factor("dpotrf", info)
+    one, info = k.scalar(1.0), ctypes.c_int(0)
+    k.potrf(b"L", dim, a, dim, info)
+    _require_factor(k.prefix + "potrf", info)
     if n >= p:
-        _dtrtri(b"L", b"N", dim, a, dim, info)
-        _require_factor("dtrtri", info)
-        _dtrmm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
+        k.trtri(b"L", b"N", dim, a, dim, info)
+        _require_factor(k.prefix + "trtri", info)
+        k.trmm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
     else:
-        _dtrsm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
-    return np.einsum("ij,ij->j", z.T, z.T) / p
+        k.trsm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
+    return np.einsum("ij,ij->j", z.T, z.T).astype(np.float64, copy=False) / p
 
 
 def _weighted_cov(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -298,10 +350,11 @@ def _check_rows(x: np.ndarray) -> None:
 
 
 def _defining_rhs(kind: str, x: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    raw = _weighted_cov(x, w)
+    """The defining equation's right side, in x's dtype (w is cast to it)."""
+    raw = _weighted_cov(x, np.asarray(w, dtype=x.dtype))
     if kind in ("MRE", "TRE"):
         p = x.shape[1]
-        return raw / (1.0 + alpha) + (alpha / (1.0 + alpha)) * np.eye(p)
+        return raw / (1.0 + alpha) + (alpha / (1.0 + alpha)) * np.eye(p, dtype=x.dtype)
     return raw
 
 
@@ -311,9 +364,10 @@ def _d_map(kind: str, x: np.ndarray, d: np.ndarray, weigh: Callable,
 
     Returns Sigma(d), the right side of the defining equation at weights
     u(d) (rescaled to trace p for TE), and the quadratic forms at it. d
-    solves the estimator equation iff the forms equal d.
+    solves the estimator equation iff the forms equal d. Sigma(d) is in
+    x's dtype, float32 or float64; the forms are float64.
     """
-    sigma = _defining_rhs(kind, x, np.asarray(weigh(d), dtype=float), alpha)
+    sigma = _defining_rhs(kind, x, weigh(d), alpha)
     if kind == "TE":
         sigma *= x.shape[1] / np.trace(sigma)
     return sigma, quad_forms(x, sigma)
@@ -345,18 +399,36 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     live = d0 > 0  # zero samples (legal for ME/MRE) keep d = 0 outside the mixing
 
     evals = 0
+    # the data in float32 while the map runs in float32, None after the
+    # switch; a value out of float32's range shows as a failed evaluation
+    with np.errstate(all="ignore"):
+        x32 = x.astype(np.float32)
+    switch = max(_SWITCH, cfg.tol)
 
     def step(y: np.ndarray) -> _Point:
-        nonlocal evals
+        """The map at y, in float32 while `x32` is set. A float32 evaluation
+        that fails (no Cholesky, or forms that are not finite and positive)
+        ends the float32 phase and is done again, as the same evaluation, in
+        float64."""
+        nonlocal evals, x32
         evals += 1
         d = np.zeros(n)
         d[live] = np.exp(y)
-        sigma, forms = _d_map(kind, x, d, weigh, alpha)
+        if x32 is not None:
+            try:
+                with np.errstate(all="ignore"):  # an overflow shows in the forms
+                    sigma, forms = _d_map(kind, x32, d, weigh, alpha)
+                if not np.all((forms[live] > 0) & (forms[live] < np.inf)):
+                    x32 = None
+            except np.linalg.LinAlgError:
+                x32 = None
+        if x32 is None:
+            sigma, forms = _d_map(kind, x, d, weigh, alpha)
         g = np.log(forms[live])
         return _Point(y, sigma, forms, g, np.linalg.norm(g - y) / math.sqrt(max(g.size, 1)))
 
     def defining_residual(pt: _Point) -> float:
-        rhs = _defining_rhs(kind, x, np.asarray(weigh(pt.forms), dtype=float), alpha)
+        rhs = _defining_rhs(kind, x, weigh(pt.forms), alpha)
         return _relfrob(pt.sigma - rhs, pt.sigma)
 
     converged = False
@@ -364,28 +436,36 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
         pt = step(np.log(d0[live]))
         df: list = []  # Anderson history: differences of the residuals g - y
         dg: list = []  # and of the map values g between accepted points
-        while True:
-            if pt.rms <= cfg.tol:
+        while True:  # x32 is set here iff pt is a float32 evaluation
+            if x32 is not None:
+                if pt.rms <= switch:
+                    x32 = None  # float64 from the next evaluation on
+            elif pt.rms <= _CHECK * cfg.tol:
                 residual = defining_residual(pt)
                 if residual <= cfg.tol:
                     converged = True
                     break
             if evals >= cfg.max_iter:
                 break
+            # two evaluations are compared (RMS, secant pair) only in one
+            # precision: across the switch they also differ by float32 rounding
             if df:
                 gamma = np.linalg.lstsq(np.column_stack(df), pt.g - pt.y, rcond=None)[0]
                 nxt = step(pt.g - np.column_stack(dg) @ gamma)
-                if not nxt.rms <= pt.rms:  # mixing did not help: plain step from pt
+                if nxt.sigma.dtype == pt.sigma.dtype and not nxt.rms <= pt.rms:
+                    # mixing did not help: plain float64 step from pt
                     df.clear()
                     dg.clear()
+                    x32 = None
                     if evals >= cfg.max_iter:
                         break
                     nxt = step(pt.g)
             else:
                 nxt = step(pt.g)
-            df.append((nxt.g - nxt.y) - (pt.g - pt.y))
-            dg.append(nxt.g - pt.g)
-            del df[:-_WINDOW], dg[:-_WINDOW]
+            if nxt.sigma.dtype == pt.sigma.dtype:
+                df.append((nxt.g - nxt.y) - (pt.g - pt.y))
+                dg.append(nxt.g - pt.g)
+                del df[:-_WINDOW], dg[:-_WINDOW]
             pt = nxt
     except np.linalg.LinAlgError as exc:
         raise ExistenceError(

@@ -22,7 +22,7 @@ from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms, require
 from .master_equation import MC_REPS, MasterEquationResult, solve_master
 from .model import Dataset, sample_covariance
 from .parallel import map_units, require_threads
-from .samplers import DistributionSpec, derive_seed, sample
+from .samplers import DistributionSpec, derive_seed, require_seed, sample
 
 __all__ = [
     "ExperimentConfig",
@@ -53,6 +53,7 @@ class ExperimentConfig:
     grid that cannot be drawn, or on which the estimator does not exist,
     fails before any solve: they walk the grid points the experiment runs.
     `dims`, `ratio`, `reps` and `mc_reps` are integers (numpy ones pass);
+    `base_seed` is a seed (`samplers.require_seed`), checked with them;
     `solver` configures every replicate's solve. `mc_reps` (at least 1, for
     every kind) sets the Monte-Carlo draws of the master-equation solve that
     predicts the TRE/MRE limits (one solve per dimension).
@@ -82,6 +83,7 @@ class ExperimentConfig:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "base_seed", require_seed(self.base_seed))
         require_threads(self.threads)
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")

@@ -73,7 +73,8 @@ class QMonteCarlo:
 
     Rep r stands for n-1 rows (so n >= 2) seeded by ``derive_seed(seed, r)``
     and keeps the eigenvalues of S' = X^T X / n. `spec.require_dims(n - 1, p)`
-    runs once, before any draw. When `spec.standard_gaussian`, the rep draws
+    runs once, before any draw, and `derive_seed` checks the seed before the
+    first. When `spec.standard_gaussian`, the rep draws
     them from the bidiagonal Wishart model (`_wishart_eigvalsh`) and makes no
     rows. Otherwise it draws ``sample(spec, n - 1, p, derive_seed(seed, r))``,
     the rows x = mu + Y Sigma_p^{1/2} of every other draw of `spec`, and

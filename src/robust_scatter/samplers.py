@@ -14,13 +14,15 @@ Families:
   the construction is kept verbatim because Tyler-type estimators absorb
   the scale.
 
-All draws are deterministic functions of (spec, n, p, seed). Sub-seeds for
-parallel or repeated work are derived with :func:`derive_seed`, which feeds
-the index path into ``numpy.random.SeedSequence``.
+All draws are deterministic functions of (spec, n, p, seed). Every seed is
+a non-negative integer (:func:`require_seed`). Sub-seeds for parallel or
+repeated work are derived with :func:`derive_seed`, which feeds the index
+path into ``numpy.random.SeedSequence``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +37,7 @@ __all__ = [
     "sample",
     "symmetrize",
     "derive_seed",
+    "require_seed",
     "spd_sqrt",
 ]
 
@@ -43,13 +46,27 @@ FAMILIES = ("gaussian", "laplace-iid", "permuted-smoothed", "elliptical")
 _EIG_FLOOR = 1e-12
 
 
+def require_seed(seed) -> int:
+    """`seed` as an int, or `ValueError` naming its value: the one rule for
+    every seed, a non-negative integer (numpy integers pass). `sample`,
+    `derive_seed` (so `master_equation.QMonteCarlo`) and
+    `experiment.ExperimentConfig` check it before any draw."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1  # not an integer: rejected with the negative ones
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def derive_seed(base_seed: int, *path: int) -> int:
     """Deterministic sub-seed for the task identified by `path`.
 
     Rule: the entropy of a ``numpy.random.SeedSequence`` is the tuple
     (base_seed, *path); the derived seed is its first generated word.
     """
-    ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in path]])
+    ss = np.random.SeedSequence([require_seed(base_seed), *[int(i) for i in path]])
     return int(ss.generate_state(1)[0])
 
 
@@ -184,9 +201,9 @@ def _isotropic_rows(spec: DistributionSpec, n: int, p: int, rng: np.random.Gener
 
 def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows of dimension p from `spec`, deterministically in
-    seed; `spec.require_dims(n, p)` first."""
+    seed; `spec.require_dims(n, p)` and `require_seed(seed)` first."""
     spec.require_dims(n, p)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(require_seed(seed))
     rows = _isotropic_rows(spec, n, p, rng)
     if spec.root is not None:
         rows = rows @ spec.root  # the root is symmetric

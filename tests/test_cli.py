@@ -147,11 +147,16 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_threads_do_not_change_output(self, tmp_path):
-        args = ("simulate", "--kind", "tyler", "--dist", "gaussian", "--dims", "8,16",
-                "--reps", "3", "--seed", "4")
-        run(*args, "--out", tmp_path / "a.csv", "--threads", "1")
-        run(*args, "--out", tmp_path / "b.csv", "--threads", "3")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # the second grid's p = 128 solves run their first map evaluations in float32
+        for k, (args, threads) in enumerate([
+            (("--kind", "tyler", "--dist", "gaussian", "--dims", "8,16", "--reps", "3",
+              "--seed", "4"), "3"),
+            (("--kind", "maronna", "--u", "rational", "--dist", "laplace", "--dims", "64,128",
+              "--reps", "2", "--seed", "5"), "2"),
+        ]):
+            run("simulate", *args, "--out", tmp_path / f"a{k}.csv", "--threads", "1")
+            run("simulate", *args, "--out", tmp_path / f"b{k}.csv", "--threads", threads)
+            assert (tmp_path / f"a{k}.csv").read_bytes() == (tmp_path / f"b{k}.csv").read_bytes()
 
     @pytest.mark.parametrize("flags", [
         # Huber t = 2 at n = 2p: every d_i(S) = n h_ii / p <= n/p = 2 <= t, so u = 1
@@ -272,6 +277,20 @@ class TestMasterEq:
         assert err.startswith("error: ") and "n and p must be positive" in err
         assert err.count("\n") == 1
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kind", "tyler", "--dims", "8", "--reps", "1", "--seed", "-1"),
+    ("master-eq", "--kind", "tre", "--alpha", "1", "--gamma", "0.5", "--p", "10",
+     "--seed", "-3"),
+    ("diagnose", "--p", "5", "--n", "20", "--seed", "-2"),
+], ids=["simulate", "master-eq", "diagnose"])
+def test_negative_seed_exits_1_naming_the_seed(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    seed = argv[-1]
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
 
 
 class TestSparsePipelines:

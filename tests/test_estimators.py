@@ -488,8 +488,23 @@ class TestQuadForms:
         x = np.random.default_rng(41).standard_normal((rows, self.P))
         sigma = np.eye(self.P)
         sigma[3, 3] = -1.0
-        with pytest.raises(np.linalg.LinAlgError, match=r"leading minor 4\)"):
-            quad_forms(x, sigma)
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(np.linalg.LinAlgError, match=r"leading minor 4\)"):
+                quad_forms(x.astype(dtype), sigma.astype(dtype))
+
+    @pytest.mark.parametrize("p", [P, 128])
+    @pytest.mark.parametrize("rows", ["1", "p-1", "2p"])
+    def test_float32_forms_match_float64(self, p, rows):
+        n = {"1": 1, "p-1": p - 1, "2p": 2 * p}[rows]
+        rng = np.random.default_rng(45 + p + n)
+        sigma = self._spd(rng, p) / p
+        x = rng.standard_normal((n, p))
+        x32 = x.astype(np.float32)
+        got = quad_forms(x32, sigma.astype(np.float32))
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, quad_forms(x, sigma), rtol=1e-5)
+        # float32 only when both inputs are: one float64 input keeps float64
+        assert np.array_equal(quad_forms(x32, sigma), quad_forms(x32.astype(np.float64), sigma))
 
     def test_weighted_cov_exactly_symmetric(self):
         x = sample(DistributionSpec("laplace-iid"), 90, 30, seed=42).samples
@@ -498,6 +513,26 @@ class TestQuadForms:
         assert np.array_equal(s, s.T)
         want = x.T @ (x * w[:, None]) / 90
         np.testing.assert_allclose(s, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+def _record_dtypes(monkeypatch):
+    """Record the precision of each `quad_forms` call the solver makes
+    (float32 only when x and sigma both are), with ":failed" when the call
+    raised `LinAlgError` or returned forms that are not finite and positive."""
+    dtypes = []
+
+    def recorded(x, sigma):
+        name = "float32" if x.dtype == sigma.dtype == np.float32 else "float64"
+        try:
+            forms = quad_forms(x, sigma)
+        except np.linalg.LinAlgError:
+            dtypes.append(name + ":failed")
+            raise
+        dtypes.append(name if np.all((forms > 0) & (forms < np.inf)) else name + ":failed")
+        return forms
+
+    monkeypatch.setattr(estimators, "quad_forms", recorded)
+    return dtypes
 
 
 ELLIPTICAL_PARETO = DistributionSpec("elliptical", radial_law=RadialLaw("pareto", 3.0))
@@ -539,6 +574,69 @@ class TestSolver:
         np.testing.assert_array_equal(est.weights[[5, 17]], u.u(np.zeros(2)))
         sig, _ = picard_oracle(kind, x, u.u, 1.0)
         np.testing.assert_allclose(est.matrix.entries, sig, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
+    @pytest.mark.parametrize("spec", [DistributionSpec("gaussian"),
+                                      DistributionSpec("laplace-iid")],
+                             ids=["gaussian", "laplace-iid"])
+    def test_float32_phase_agrees_with_picard_oracle_at_p128(self, kind, spec, monkeypatch):
+        # at n = 2p the first evaluations run in float32; the solve ends on a
+        # float64 evaluation whose defining residual is within tol
+        dtypes = _record_dtypes(monkeypatch)
+        data = sample(spec, 256, 128, seed=30)
+        u = rational_u()
+        cfg = SolverConfig()
+        est = fit(kind, data, u, 0.5, cfg)
+        assert est.converged and est.residual <= cfg.tol
+        assert defining_residual(kind, data.samples, est.matrix.entries, u.u, 0.5) <= cfg.tol
+        assert dtypes[0] == "float64"  # the start: the forms at the identity
+        assert "float32" in dtypes[1:] and dtypes[-1] == "float64"
+        assert len(dtypes) == est.iterations + 1
+        sig, _ = picard_oracle(kind, data.samples, u.u, 0.5)
+        np.testing.assert_allclose(est.matrix.entries, sig, atol=1e-8)
+        # a tolerance looser than the switch level still ends in float64
+        dtypes.clear()
+        loose = fit(kind, data, u, 0.5, SolverConfig(tol=1e-4))
+        assert loose.converged and dtypes[-1] == "float64"
+        assert defining_residual(kind, data.samples, loose.matrix.entries, u.u, 0.5) <= 1e-4
+
+    @pytest.mark.parametrize("kind,fault", [("TE", "cholesky"), ("ME", "cholesky"),
+                                            ("TE", "overflow"), ("TRE", "overflow")])
+    def test_failed_float32_evaluation_falls_back_to_float64(self, kind, fault, monkeypatch):
+        # "cholesky": a column of scale 1e-25 keeps the data full rank in
+        # float64, but its float32 weighted variance underflows to 0, so
+        # spotrf stops there (the TRE/MRE ridge would keep it SPD).
+        # "overflow": rows of scale 1e20 leave the Tyler kinds' estimate as
+        # it is, but their float32 forms (about 1e40) overflow to inf.
+        dtypes = _record_dtypes(monkeypatch)
+        x = sample(DistributionSpec("gaussian"), 60, 6, seed=31).samples.copy()
+        if fault == "cholesky":
+            x[:, 2] *= 1e-25
+        else:
+            x *= 1e20
+        u = rational_u()
+        est = fit(kind, Dataset(x), u, 0.5)
+        assert est.converged
+        assert defining_residual(kind, x, est.matrix.entries, u.u, 0.5) <= 1e-10
+        # the failed float32 attempt is redone, as the same evaluation, in float64
+        assert dtypes[:3] == ["float64", "float32:failed", "float64"]
+        assert set(dtypes[3:]) == {"float64"} and len(dtypes) == est.iterations + 2
+        sig, _ = picard_oracle(kind, x, u.u, 0.5)
+        np.testing.assert_allclose(est.matrix.entries, sig, atol=1e-8)
+
+    def test_constant_map_does_not_stall_at_the_switch(self, monkeypatch):
+        # Huber t = 2 at n = 2p: every d_i(S) <= n/p = 2, and on this draw
+        # every start form is below 2 too, so u = 1 throughout and the map
+        # is constant. The second float32 evaluation shows an RMS of exactly
+        # 0, the first float64 one float32's rounding (about 1e-7): compared
+        # across the switch, as a rejected step or as a secant pair, that
+        # stalls the mixing (5 and 10 evaluations).
+        dtypes = _record_dtypes(monkeypatch)
+        data = sample(DistributionSpec("gaussian"), 32, 16, seed=32)
+        est = maronna(data, huber_u(2.0))
+        assert est.converged and np.all(est.weights == 1.0)
+        assert dtypes[1:] == ["float32", "float32", "float64", "float64"]
+        assert est.iterations == 4
 
     @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
     @pytest.mark.parametrize("max_iter", [2, 7, 500])

@@ -190,6 +190,20 @@ class TestWeightDeviationExperiment:
         assert value == good
         assert all(type(v) is int for v in (value if name == "dims" else (value,)))
 
+    def test_bad_base_seed_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(robust_scatter.experiment, "solve_master",
+                            lambda *a, **k: calls.append(a))
+        fields = dict(kind="TRE", dist=GAUSS, dims=(8, 16), alpha=1.0)
+        for bad in (2.5, -1):
+            with pytest.raises(ValueError,
+                               match=f"^seed must be a non-negative integer, got {bad}$"):
+                weight_deviation_experiment(ExperimentConfig(**fields, base_seed=bad))
+        assert calls == []
+        # a numpy integer passes, stored as int
+        seed = ExperimentConfig(**fields, base_seed=np.int64(5)).base_seed
+        assert seed == 5 and type(seed) is int
+
     def test_shaped_spec_rejected_before_dimension_rules(self):
         spec = DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(16)))
         with pytest.raises(ValueError, match="must be shape-free"):

@@ -161,6 +161,18 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"^mean has shape \(3,\), expected \(4,\)$"):
             QMonteCarlo(spec, 20, 4, reps=2, seed=0)
 
+    @pytest.mark.parametrize("seed", [-3, 2.5])
+    def test_bad_seed_rejected_before_any_draw(self, monkeypatch, seed):
+        for name in ("sample", "_wishart_eigvalsh"):
+            monkeypatch.setattr(robust_scatter.master_equation, name,
+                                lambda *args: pytest.fail("drew before checking the seed"))
+        for spec in (GAUSS, LAPLACE):  # the Wishart path and the row path
+            for build in (lambda: QMonteCarlo(spec, 20, 4, reps=2, seed=seed),
+                          lambda: solve_master(spec, 20, 4, alpha=1.0, reps=2, seed=seed)):
+                with pytest.raises(ValueError,
+                                   match=f"^seed must be a non-negative integer, got {seed}$"):
+                    build()
+
     def test_wrong_dimension_shape_rejected(self):
         spec = replace(GAUSS, shape=ScatterMatrix(np.eye(3)))
         with pytest.raises(ValueError, match="expected p=4"):

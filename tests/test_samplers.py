@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from robust_scatter import (
     spd_sqrt,
     symmetrize,
 )
-from robust_scatter.samplers import _balanced_signs
+from robust_scatter.samplers import _balanced_signs, require_seed
 
 
 class TestFamilies:
@@ -204,3 +206,21 @@ def test_derive_seed_is_deterministic_and_distinct():
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     seeds = {derive_seed(5, k, j) for k in range(4) for j in range(50)}
     assert len(seeds) == 200
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, np.int64(-3), "7", None],
+                         ids=["float", "negative", "numpy-negative", "str", "none"])
+def test_seed_rule_has_one_owner(seed):
+    # every draw and every derived seed checks the seed before it draws
+    message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    for call in (lambda: require_seed(seed), lambda: derive_seed(seed, 1),
+                 lambda: sample(DistributionSpec("gaussian"), 4, 2, seed)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_numpy_integer_seeds_pass():
+    assert require_seed(np.int64(7)) == 7 and type(require_seed(np.uint32(7))) is int
+    spec = DistributionSpec("laplace-iid")
+    assert np.array_equal(sample(spec, 5, 3, np.int32(7)).samples, sample(spec, 5, 3, 7).samples)
+    assert derive_seed(np.int64(5), 1) == derive_seed(5, 1)

@@ -24,7 +24,9 @@ through scipy's Cython LAPACK/BLAS API by ctypes, in float64 (``dpotrf``,
 ``strmm``, ``strsm``). Like numpy's SYRK, those calls release the GIL, so
 the replicates of a worker pool (`parallel.map_units`) run their map
 evaluations in parallel.
-The solver iterates y = log d from the float64 forms at the identity,
+The solver iterates y = log d from the float64 forms at the identity (for
+ME at c I, c = mean_i |x_i|^2 / p, so that its iterations do not depend on
+the scale of its data),
 mixing each step over the last few map values by Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011). The map runs in two phases, as
 in mixed-precision refinement (Carson & Higham, SIAM J. Sci. Comput.
@@ -395,7 +397,11 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     x = np.ascontiguousarray(data.samples)
     n, p = x.shape
 
-    d0 = quad_forms(x, np.eye(p))
+    # ME is affine equivariant, so it starts at its data's scale: the forms at
+    # c I, c = mean_i |x_i|^2 / p (the identity for all-zero data, which has
+    # no ME). The other kinds fix a scale (trace p, or alpha I) and start at I.
+    start = float(np.einsum("ij,ij->", x, x)) / (n * p) if kind == "ME" else 1.0
+    d0 = quad_forms(x, (start or 1.0) * np.eye(p))
     live = d0 > 0  # zero samples (legal for ME/MRE) keep d = 0 outside the mixing
 
     evals = 0

@@ -11,20 +11,25 @@ and Sigma_p is the population shape of the sampling spec (`spec.shape`, the
 identity when None). The draws follow `samplers.sample` of the spec itself,
 x = mu + Y Sigma_p^{1/2}, so a mean enters S' as it enters any draw.
 When the spec draws standard Gaussian rows (`DistributionSpec.standard_gaussian`),
-X^T X is Wishart W_p(n-1, I), and each draw takes its eigenvalues from the
-bidiagonal model of Dumitriu & Edelman (Matrix models for beta ensembles,
-J. Math. Phys. 43, 2002): the same law at a fraction of the cost. Every
-other spec draws its n-1 rows with `sample`.
+X^T X is Wishart W_p(n-1, I), and each draw is the tridiagonal T = B^T B / n
+of the bidiagonal model of Dumitriu & Edelman (Matrix models for beta
+ensembles, J. Math. Phys. 43, 2002): the same law at a fraction of the cost.
+Q on such a draw is the trace of the inverse of a shifted tridiagonal, read
+from its LDL^T pivots and their derivatives in the shift (Meurant, A review
+on the inverse of symmetric tridiagonal and block tridiagonal matrices, SIAM
+J. Matrix Anal. Appl. 13, 1992), with no eigenvalues. Every other spec draws
+its n-1 rows with `sample`.
 F is continuous and strictly decreasing, so the master equation F(d*) = 1
 has a unique root; the limiting weights are u(d*) for MRE and 1/d* for TRE.
 
 Q is estimated by Monte Carlo. One set of draws is built once and reused for
 every d evaluated during root finding (common random numbers), which keeps
-the empirical F continuous and exactly monotone in d, so one call of scipy's
-`brentq` in log d, over the whole search range, finds its root to double
-precision on those draws. The Monte-Carlo error of d* therefore comes from
-the draws alone. Each draw keeps the eigenvalues of S'; only a general
-Sigma_p also needs its eigenvectors. Each draw is seeded by its rep index.
+the empirical F continuous and monotone in d up to rounding, so one call of
+scipy's `brentq` in log d, over the whole search range, finds its root to
+double precision on those draws. The Monte-Carlo error of d* therefore comes
+from the draws alone. A Gaussian draw keeps T; every other draw keeps the
+eigenvalues of S', and only a general Sigma_p also needs its eigenvectors.
+Each draw is seeded by its rep index.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError
 from .estimators import UFunction, require_existence, tyler_u
@@ -71,17 +75,21 @@ class MasterEquationResult:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Rep r stands for n-1 rows (so n >= 2) seeded by ``derive_seed(seed, r)``
-    and keeps the eigenvalues of S' = X^T X / n. `spec.require_dims(n - 1, p)`
-    runs once, before any draw, and `derive_seed` checks the seed before the
-    first. When `spec.standard_gaussian`, the rep draws
-    them from the bidiagonal Wishart model (`_wishart_eigvalsh`) and makes no
-    rows. Otherwise it draws ``sample(spec, n - 1, p, derive_seed(seed, r))``,
-    the rows x = mu + Y Sigma_p^{1/2} of every other draw of `spec`, and
-    takes the eigenvalues of their Gram; for a general Sigma_p = `spec.shape`
-    it eigendecomposes S' and also keeps diag(U^T Sigma_p U).
-    Evaluating Q at any d is then O(p) per rep, and all d values share the
-    same randomness, so `solve_master` roots one fixed, continuous F.
+    Rep r stands for n-1 rows (so n >= 2) seeded by ``derive_seed(seed, r)``.
+    `spec.require_dims(n - 1, p)` runs once, before any draw, and
+    `derive_seed` checks the seed before the first. When
+    `spec.standard_gaussian`, the rep draws the k x k tridiagonal
+    T = B^T B / n of the bidiagonal Wishart model (`_wishart_tridiagonal`,
+    k = min(n - 1, p)) and makes no rows; S' has the eigenvalues of T and
+    p - k zeros. The reps' diagonals and squared off-diagonals are kept as
+    the columns of two (k, reps) arrays, and Q sweeps their LDL^T pivots
+    across all reps at once: O(k) Python steps per evaluation. Otherwise
+    the rep draws ``sample(spec, n - 1, p, derive_seed(seed, r))``, the rows
+    x = mu + Y Sigma_p^{1/2} of every other draw of `spec`, and keeps the
+    eigenvalues of S' = X^T X / n; for a general Sigma_p = `spec.shape` it
+    eigendecomposes S' and also keeps diag(U^T Sigma_p U), and Q is O(p) per
+    rep. All d values share the same randomness, so `solve_master` roots
+    one fixed, continuous F.
     """
 
     def __init__(self, spec: DistributionSpec, n: int, p: int, reps: int, seed: int):
@@ -90,13 +98,21 @@ class QMonteCarlo:
         if n < 2:
             raise ValueError(f"the master equation draws n - 1 rows and needs n >= 2, got n={n}")
         spec.require_dims(n - 1, p)
-        self.reps = int(reps)
-        shape, wishart = spec.shape, spec.standard_gaussian
+        self.reps, self.p = int(reps), p
+        self._lam = self._coef = self._diag = self._off2 = None
+        if spec.standard_gaussian:
+            k = min(n - 1, p)
+            # row k-1 of the off-diagonal stays 0: the sweep reads rows 0..k-2
+            self._diag, self._off2 = np.empty((k, reps)), np.zeros((k, reps))
+            for r in range(reps):
+                rng = np.random.default_rng(derive_seed(seed, r))
+                self._diag[:, r], self._off2[:-1, r] = _wishart_tridiagonal(n - 1, p, rng)
+            self._diag /= n
+            self._off2 /= n * n
+            return
+        shape = spec.shape
 
         def draw(r: int):
-            if wishart:
-                rng = np.random.default_rng(derive_seed(seed, r))
-                return _wishart_eigvalsh(n - 1, p, rng) / n, None
             x = sample(spec, n - 1, p, derive_seed(seed, r)).samples
             if shape is None:
                 return np.linalg.eigvalsh(x.T @ x / n), None
@@ -109,31 +125,63 @@ class QMonteCarlo:
 
     def q(self, phi_d: float, alpha_d: float) -> Tuple[float, float]:
         """Mean and standard error of p^{-1} Tr Sigma_p (phi_d S' + alpha_d I)^{-1}."""
-        num = 1.0 if self._coef is None else self._coef
-        per_rep = np.mean(num / (phi_d * self._lam + alpha_d), axis=1)
+        if self._diag is None:
+            num = 1.0 if self._coef is None else self._coef
+            per_rep = np.mean(num / (phi_d * self._lam + alpha_d), axis=1)
+        else:
+            k = self._diag.shape[0]
+            per_rep = (_tridiagonal_inverse_trace(phi_d, alpha_d, self._diag, self._off2)
+                       + (self.p - k) / alpha_d) / self.p
         mean = float(per_rep.mean())
         if self.reps == 1:
             return mean, 0.0
         return mean, float(per_rep.std(ddof=1) / math.sqrt(self.reps))
 
 
-def _wishart_eigvalsh(m: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Ascending eigenvalues of X^T X for an m x p matrix X of i.i.d. standard
-    normals, in law (Dumitriu & Edelman 2002), from 2 min(m, p) - 1 chi draws.
+def _tridiagonal_inverse_trace(phi: float, shift: float, diag: np.ndarray,
+                               off2: np.ndarray) -> np.ndarray:
+    """Tr (phi T + shift I)^{-1} for each column's symmetric tridiagonal T,
+    given by its diagonal (rows of `diag`) and squared off-diagonal (rows
+    0..k-2 of `off2`), for phi >= 0 and shift > 0.
 
-    With k = min(m, p) and K = max(m, p), the upper bidiagonal k x k matrix B
-    has diagonal a_i ~ chi_{K-i+1} and superdiagonal b_i ~ chi_{k-i}, all
-    independent (drawn as a_i^2, then b_i^2). The nonzero eigenvalues of
-    X^T X are those of the tridiagonal B^T B, with diagonal a_i^2 + b_{i-1}^2
-    and off-diagonal a_i b_i; the other p - k are 0 and come first.
+    The matrix A = phi T + shift I has diagonal a_i and squared off-diagonal
+    e_i^2. Its LDL^T pivots are f_1 = a_1, f_i = a_i - e_{i-1}^2 / f_{i-1},
+    and log det A = sum_i log f_i, so Tr A^{-1} = d/d(shift) log det A
+    = sum_i f'_i / f_i, with f'_1 = 1, f'_i = 1 + (e_{i-1}^2 / f_{i-1}^2) f'_{i-1}.
+    A is positive definite, so every pivot and every term is positive and
+    nothing cancels. The loop keeps g_i = f'_i / f_i, so that
+    g_i = (1 + t_i g_{i-1}) / f_i with t_i = e_{i-1}^2 / f_{i-1}.
+    """
+    a = phi * diag + shift
+    e2 = (phi * phi) * off2
+    f = a[0]
+    g = 1.0 / f
+    total = g.copy()
+    for i in range(1, a.shape[0]):
+        t = e2[i - 1] / f
+        f = a[i] - t
+        g = (1.0 + t * g) / f
+        total += g
+    return total
+
+
+def _wishart_tridiagonal(m: int, p: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Diagonal and squared off-diagonal of a k x k tridiagonal B^T B whose
+    eigenvalues are, in law, the nonzero eigenvalues of X^T X for an m x p
+    matrix X of i.i.d. standard normals (Dumitriu & Edelman 2002), from
+    2 k - 1 chi draws; k = min(m, p), and X^T X has p - k more zeros.
+
+    With K = max(m, p), the upper bidiagonal k x k matrix B has diagonal
+    a_i ~ chi_{K-i+1} and superdiagonal b_i ~ chi_{k-i}, all independent
+    (drawn as a_i^2, then b_i^2). B^T B has diagonal a_i^2 + b_{i-1}^2 and
+    off-diagonal a_i b_i, returned squared: a_i^2 b_i^2.
     """
     k, big = min(m, p), max(m, p)
     a2 = rng.chisquare(np.arange(big, big - k, -1.0))
     b2 = rng.chisquare(np.arange(k - 1, 0, -1.0))
     diag = a2.copy()
     diag[1:] += b2
-    lam = eigvalsh_tridiagonal(diag, np.sqrt(a2[:-1] * b2))
-    return np.concatenate([np.zeros(p - k), lam])
+    return diag, a2[:-1] * b2
 
 
 def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,

@@ -23,9 +23,8 @@ as it is, and `blas_report` calls it unmanaged.
 The workers are threads, so they overlap only native calls that release the
 GIL: numpy's matrix products and ``linalg``, ``quad_forms``' kernels and
 HiGHS. scipy's f2py ``scipy.linalg.lapack``/``blas`` wrappers hold it for
-the whole call; no worker loop of the package calls them. The Gaussian
-master-equation draws call scipy's f2py ``eigvalsh_tridiagonal``; they run
-in the calling thread, outside any worker loop.
+the whole call; no worker loop of the package calls them. The
+master-equation draws run in the calling thread, outside any worker loop.
 """
 
 from __future__ import annotations

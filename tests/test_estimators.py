@@ -167,6 +167,29 @@ class TestMaronna:
         w2 = maronna(Dataset(x @ a.T), u).weights
         np.testing.assert_allclose(w1, w2, rtol=1e-6)
 
+    @pytest.mark.parametrize("scale", [2.0 ** 40, 2.0 ** -40], ids=["2^40", "2^-40"])
+    def test_start_follows_the_data_scale(self, scale):
+        # ME is affine equivariant and starts from the forms at c I, c the
+        # mean |x_i|^2 / p: scaling by a power of two scales every float
+        # operation exactly, so the solve is the same, and Sigma scales by scale^2
+        x = sample(DistributionSpec("gaussian"), 60, 6, seed=32).samples
+        u = rational_u()
+        ref, est = maronna(Dataset(x), u), maronna(Dataset(x * scale), u)
+        assert est.iterations == ref.iterations
+        np.testing.assert_array_equal(est.matrix.entries, ref.matrix.entries * scale ** 2)
+        np.testing.assert_array_equal(est.weights, ref.weights)
+
+    @pytest.mark.parametrize("scale", [1e15, 1e20])
+    def test_converges_on_far_scaled_data(self, scale):
+        # from the identity, these scales overflowed `exp` in the Anderson
+        # steps and ended in ExistenceError; a warning fails the test
+        x = sample(DistributionSpec("gaussian"), 60, 6, seed=32).samples
+        u = rational_u()
+        est = maronna(Dataset(x * scale), u)
+        assert est.converged
+        assert est.iterations == maronna(Dataset(x), u).iterations
+        assert defining_residual("ME", x * scale, est.matrix.entries, u.u) < 1e-8
+
     def test_weight_concentration_p200_laplace(self):
         # pilot-calibrated bound (observed ~0.2 at this size); limit weight is 1
         data = sample(DistributionSpec("laplace-iid"), 400, 200, seed=0)

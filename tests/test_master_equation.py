@@ -74,6 +74,55 @@ class TestQMonteCarlo:
             assert f <= (1 + alpha) * q + 1e-12
 
 
+def dense_q(mc, phi_d, alpha_d):
+    """Q and its standard error from np.linalg.eigvalsh of each Gaussian rep's
+    dense T, with the p - k zero eigenvalues of S' put back."""
+    k = mc._diag.shape[0]
+    per_rep = []
+    for r in range(mc.reps):
+        t = np.diag(mc._diag[:, r]) + np.diag(np.sqrt(mc._off2[:-1, r]), 1)
+        t += np.triu(t, 1).T
+        lam = np.concatenate([np.zeros(mc.p - k), np.linalg.eigvalsh(t)])
+        per_rep.append(np.mean(1.0 / (phi_d * lam + alpha_d)))
+    per_rep = np.array(per_rep)
+    stderr = per_rep.std(ddof=1) / np.sqrt(mc.reps) if mc.reps > 1 else 0.0
+    return per_rep.mean(), stderr
+
+
+class TestGaussianSweep:
+    """Q of a Gaussian build comes from the LDL^T pivots of each rep's
+    tridiagonal; the oracle is the dense spectrum of the same T."""
+
+    @pytest.mark.parametrize("n,p", [(60, 25), (16, 25)], ids=["p<n-1", "p>n-1"])
+    def test_q_matches_dense_eigenvalues(self, n, p):
+        mc = QMonteCarlo(GAUSS, n, p, reps=30, seed=4)
+        lo, hi = SEARCH_RANGE
+        u = rational_u()
+        points = [(1.0, 0.7), (0.3, 2.5), (2.0, 1e-3)]
+        # both ends of solve_master's search, for TRE (phi = 1) and MRE (rational u)
+        points += [(1.0, lo), (1.0, hi)]
+        points += [(float(u.phi(np.asarray(d))), d) for d in (lo, hi)]
+        for phi_d, alpha_d in points:
+            mean, stderr = mc.q(phi_d, alpha_d)
+            ref_mean, ref_stderr = dense_q(mc, phi_d, alpha_d)
+            assert mean == pytest.approx(ref_mean, rel=1e-12)
+            assert stderr == pytest.approx(ref_stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(60, 25), (16, 25)], ids=["p<n-1", "p>n-1"])
+    def test_zero_phi_gives_one_over_alpha_d(self, n, p):
+        # phi = 0 leaves alpha d I: every rep's Q is 1/(alpha d), exactly at a
+        # power of two
+        mc = QMonteCarlo(GAUSS, n, p, reps=10, seed=5)
+        assert mc.q(0.0, 2.0) == (0.5, 0.0)
+        assert mc.q(0.0, 0.3)[0] == pytest.approx(1.0 / 0.3, rel=1e-15)
+
+    def test_one_rep_has_zero_stderr(self):
+        mc = QMonteCarlo(GAUSS, 60, 25, reps=1, seed=6)
+        mean, stderr = mc.q(1.0, 0.7)
+        assert stderr == 0.0
+        assert mean == pytest.approx(dense_q(mc, 1.0, 0.7)[0], rel=1e-12)
+
+
 class TestBuild:
     """How `QMonteCarlo` builds its draws: one per rep, in order; eigenvalues
     only at identity shape, and the shape read from the spec."""
@@ -93,28 +142,40 @@ class TestBuild:
 
     @pytest.mark.parametrize("n,p", [(50, 12), (9, 12)], ids=["p<n-1", "p>n-1"])
     def test_gaussian_reps_are_the_bidiagonal_model(self, n, p):
-        # rep r is the spectrum of B^T B / n, with B rebuilt from that rep's
-        # seeded chi draws: diagonal chi_{K-i+1}, superdiagonal chi_{k-i}
-        seed, m = 8, n - 1
+        # rep r is the tridiagonal T = B^T B / n, with B rebuilt from that rep's
+        # seeded chi draws: diagonal chi_{K-i+1}, superdiagonal chi_{k-i}; S'
+        # has T's k eigenvalues and p - k zeros
+        seed, m, reps = 8, n - 1, 6
         k, big = min(m, p), max(m, p)
-        mc = QMonteCarlo(GAUSS, n, p, reps=6, seed=seed)
-        for r in range(6):
+        mc = QMonteCarlo(GAUSS, n, p, reps=reps, seed=seed)
+        assert mc._diag.shape == mc._off2.shape == (k, reps)
+        assert np.all(mc._off2[-1] == 0.0)  # row k-1 pads the k-1 off-diagonal entries
+        per_rep = []
+        for r in range(reps):
             rng = np.random.default_rng(derive_seed(seed, r))
-            a = np.sqrt(rng.chisquare(np.arange(big, big - k, -1.0)))
-            b = np.sqrt(rng.chisquare(np.arange(k - 1, 0, -1.0)))
-            bidiag = np.diag(a) + np.diag(b, 1)
-            expected = np.linalg.eigvalsh(bidiag.T @ bidiag) / n
-            assert np.count_nonzero(mc._lam[r] == 0.0) == p - k
-            assert np.max(np.abs(mc._lam[r][p - k:] - expected)) <= 1e-12 * expected[-1]
+            a2 = rng.chisquare(np.arange(big, big - k, -1.0))
+            b2 = rng.chisquare(np.arange(k - 1, 0, -1.0))
+            np.testing.assert_array_equal(mc._diag[:, r], (a2 + np.append(0.0, b2)) / n)
+            np.testing.assert_array_equal(mc._off2[:-1, r], a2[:-1] * b2 / n ** 2)
+            bidiag = np.diag(np.sqrt(a2)) + np.diag(np.sqrt(b2), 1)
+            t = bidiag.T @ bidiag / n
+            np.testing.assert_allclose(mc._diag[:, r], np.diag(t), rtol=1e-14)
+            np.testing.assert_allclose(mc._off2[:-1, r], np.diag(t, 1) ** 2, rtol=1e-14)
+            lam = np.concatenate([np.zeros(p - k), np.linalg.eigvalsh(t)])
+            per_rep.append(np.mean(1.0 / (0.7 * lam + 1.3)))
+        # Q counts the p - k zero eigenvalues, each as 1/(alpha d)
+        assert mc.q(0.7, 1.3)[0] == pytest.approx(np.mean(per_rep), rel=1e-12)
 
     @pytest.mark.parametrize("n,p", [(41, 20), (11, 20)])
     def test_gaussian_reps_follow_the_wishart_moments(self, n, p):
         # E tr S' = mp/n and E tr S'^2 = mp(m+p+1)/n^2 for X^T X ~ W_p(m, I),
-        # m = n - 1; each within 4 standard errors of the reps' own mean
+        # m = n - 1; each within 4 standard errors of the reps' own mean. On
+        # the tridiagonal T, tr S' = sum diag and tr S'^2 = sum diag^2 + 2 sum off^2
         m, reps = n - 1, 2000
-        lam = QMonteCarlo(GAUSS, n, p, reps=reps, seed=21)._lam
-        for stat, exact in ((lam.sum(axis=1), m * p / n),
-                            ((lam ** 2).sum(axis=1), m * p * (m + p + 1) / n ** 2)):
+        mc = QMonteCarlo(GAUSS, n, p, reps=reps, seed=21)
+        for stat, exact in ((mc._diag.sum(axis=0), m * p / n),
+                            ((mc._diag ** 2).sum(axis=0) + 2.0 * mc._off2.sum(axis=0),
+                             m * p * (m + p + 1) / n ** 2)):
             se = stat.std(ddof=1) / np.sqrt(reps)
             assert abs(stat.mean() - exact) <= 4.0 * se
 
@@ -154,7 +215,7 @@ class TestBuild:
     def test_wrong_dimension_mean_rejected_before_any_draw(self, monkeypatch):
         # an all-zero mean draws standard Gaussian rows, which make no `sample`
         # call, so the dimension rules run before the first draw
-        for name in ("sample", "_wishart_eigvalsh"):
+        for name in ("sample", "_wishart_tridiagonal"):
             monkeypatch.setattr(robust_scatter.master_equation, name,
                                 lambda *args: pytest.fail("drew before checking dims"))
         spec = DistributionSpec("gaussian", mean=np.zeros(3))
@@ -163,7 +224,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("seed", [-3, 2.5])
     def test_bad_seed_rejected_before_any_draw(self, monkeypatch, seed):
-        for name in ("sample", "_wishart_eigvalsh"):
+        for name in ("sample", "_wishart_tridiagonal"):
             monkeypatch.setattr(robust_scatter.master_equation, name,
                                 lambda *args: pytest.fail("drew before checking the seed"))
         for spec in (GAUSS, LAPLACE):  # the Wishart path and the row path

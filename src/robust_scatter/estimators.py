@@ -21,7 +21,9 @@ hands to SYRK: half the flops of a general product, and exactly symmetric.
 The forms take a Cholesky factor and a triangular inverse or solve, called
 through scipy's Cython LAPACK/BLAS API by ctypes, in float64 (``dpotrf``,
 ``dtrtri``, ``dtrmm``, ``dtrsm``) or float32 (``spotrf``, ``strtri``,
-``strmm``, ``strsm``). Like numpy's SYRK, those calls release the GIL, so
+``strmm``, ``strsm``). The factor is inverted by recursive 2 x 2 blocks,
+``?trtri`` on diagonal blocks of at most 64 rows and ``?trmm`` for the rest
+(`quad_forms`). Like numpy's SYRK, those calls release the GIL, so
 the replicates of a worker pool (`parallel.map_units`) run their map
 evaluations in parallel.
 The solver iterates y = log d from the float64 forms at the identity (for
@@ -47,7 +49,11 @@ history is cleared. Zero samples (legal for ME/MRE) keep d = 0 outside the
 mixing. Once a float64 point's RMS log-residual is within ``_CHECK`` = 3
 times the tolerance, the relative defining-equation residual is computed
 at Sigma(d) (one SYRK), and ``converged`` means it is at most the
-tolerance: every converged solve ends on a float64 evaluation.
+tolerance: every converged solve ends on a float64 evaluation. A solve
+whose float64 evaluations stop making progress ends, unconverged, before
+``max_iter``: after ``_STALL`` = 2 ``_WINDOW`` float64 evaluations in a row
+that do not reach half the RMS log-residual of the last one that did (data
+too ill-conditioned for float64 to reach the tolerance stall there).
 ``iterations`` counts map evaluations of both precisions; a failed float32
 attempt and its float64 redo are one evaluation, so `quad_forms` runs
 ``iterations`` + 1 times, plus once per failed attempt. An unconverged
@@ -106,6 +112,10 @@ _SWITCH = 1e-5
 # log-residual is within this factor of the tolerance; the residual runs at
 # 0.15-0.66 times the RMS (n = 2p, p = 64-512)
 _CHECK = 3.0
+# a solve stops, unconverged, after this many float64 evaluations in a row
+# that fail to halve the float64 RMS log-residual, counted from the last one
+# that did (or from the first float64 evaluation)
+_STALL = 2 * _WINDOW
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +266,30 @@ def _kernel(module, name: str, *argtypes):
 
 
 class _Kernels(NamedTuple):
-    """The four kernels of `quad_forms` in one precision, and its ctypes scalar."""
+    """The four kernels of `quad_forms` in one precision, with the constant
+    arguments of their calls: the ctypes scalar, its size and alpha = +-1."""
 
     prefix: str  # "d" or "s", for error messages
     scalar: type
+    size: int  # bytes per entry, for pointers into a block of a matrix
+    one: ctypes._SimpleCData
+    minus_one: ctypes._SimpleCData
     potrf: Callable
     trtri: Callable
     trmm: Callable  # side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
     trsm: Callable
 
 
+# the character arguments, converted once
+_L, _N, _R = ctypes.c_char_p(b"L"), ctypes.c_char_p(b"N"), ctypes.c_char_p(b"R")
+# diagonal blocks of at most this order are inverted by one ?trtri call
+_LEAF = 64
+
+
 def _bind(prefix: str, scalar: type) -> _Kernels:
     real = ctypes.POINTER(scalar)
     triangular = (*(_CHAR,) * 4, *(_INT,) * 2, *(real,) * 2, _INT, real, _INT)
-    return _Kernels(prefix, scalar,
+    return _Kernels(prefix, scalar, ctypes.sizeof(scalar), scalar(1.0), scalar(-1.0),
                     _kernel(cython_lapack, prefix + "potrf", _CHAR, _INT, real, _INT, _INT),
                     _kernel(cython_lapack, prefix + "trtri", _CHAR, _CHAR, _INT, real, _INT, _INT),
                     _kernel(cython_blas, prefix + "trmm", *triangular),
@@ -288,6 +308,30 @@ def _require_factor(routine: str, info: ctypes.c_int) -> None:
             f"sigma is not positive definite (leading minor {info.value})")
 
 
+def _invert_lower(k: _Kernels, a: ctypes._SimpleCData, lda: ctypes.c_int, first: int,
+                  order: int, info: ctypes.c_int) -> None:
+    """Invert in place the lower triangular diagonal block of `order` rows
+    at row and column `first` of the column-major matrix whose first entry
+    is `a`. A block of at most ``_LEAF`` rows is one ``?trtri`` call; a
+    larger one, L = [[A, 0], [B, C]] with A of order // 2 rows, inverts A
+    and C by recursion and then B <- -C^{-1} (B A^{-1}) by two ``?trmm``
+    calls, so that it holds the lower left block of L^{-1}."""
+    def at(row: int, col: int):
+        return ctypes.byref(a, (row + col * lda.value) * k.size)
+
+    if order <= _LEAF:
+        k.trtri(_L, _N, ctypes.c_int(order), at(first, first), lda, info)
+        _require_factor(k.prefix + "trtri", info)
+        return
+    half = order // 2
+    mid = first + half
+    _invert_lower(k, a, lda, first, half, info)
+    _invert_lower(k, a, lda, mid, order - half, info)
+    rows, cols, block = ctypes.c_int(order - half), ctypes.c_int(half), at(mid, first)
+    k.trmm(_R, _L, _N, _N, rows, cols, k.one, at(first, first), lda, block, lda)
+    k.trmm(_L, _L, _N, _N, rows, cols, k.minus_one, at(mid, mid), lda, block, lda)
+
+
 def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """d_i = p^{-1} x_i^T sigma^{-1} x_i for every row of x, as float64.
 
@@ -296,8 +340,14 @@ def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     d_i = |L^{-1} x_i|^2 / p. With at least p rows, L is inverted once and
     applied to x^T by a triangular product; with fewer rows (the one-row
     leave-one-out forms of `experiment.quadratic_form_diagnostics`) one
-    triangular solve is cheaper. The work is done in float32 when x and
-    sigma are both float32 (the solver's first phase: ``spotrf``,
+    triangular solve is cheaper. L is inverted in place by recursive 2 x 2
+    blocks (`_invert_lower`): ``?trtri`` on diagonal blocks of at most
+    ``_LEAF`` = 64 rows, two ``?trmm`` products per split, so that most of
+    the inverse's flops run in the matrix product (Peise & Bientinesi, ACM
+    TOMS 2017): at one BLAS thread, 2.6-3.2 times faster than OpenBLAS's
+    whole-matrix ``?trtri`` at p = 256-512. At p <= 64 it is one ``?trtri``
+    call. The work is done in float32 when x
+    and sigma are both float32 (the solver's first phase: ``spotrf``,
     ``strtri``, ``strmm``, ``strsm``) and in float64 otherwise (``dpotrf``,
     ``dtrtri``, ``dtrmm``, ``dtrsm``); the forms are float64 either way.
     The kernels, scipy's OpenBLAS in both precisions, run without the GIL,
@@ -318,16 +368,14 @@ def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     # the kernels get the arrays' first entries by reference; both buffers
     # are C-contiguous (chol.T is), as from_buffer requires
     a, b = k.scalar.from_buffer(chol.T), k.scalar.from_buffer(z)
-    dim, cols = ctypes.c_int(p), ctypes.c_int(n)
-    one, info = k.scalar(1.0), ctypes.c_int(0)
-    k.potrf(b"L", dim, a, dim, info)
+    dim, info = ctypes.c_int(p), ctypes.c_int(0)
+    k.potrf(_L, dim, a, dim, info)
     _require_factor(k.prefix + "potrf", info)
     if n >= p:
-        k.trtri(b"L", b"N", dim, a, dim, info)
-        _require_factor(k.prefix + "trtri", info)
-        k.trmm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
+        _invert_lower(k, a, dim, 0, p, info)
+        k.trmm(_L, _L, _N, _N, dim, ctypes.c_int(n), k.one, a, dim, b, dim)
     else:
-        k.trsm(b"L", b"L", b"N", b"N", dim, cols, one, a, dim, b, dim)
+        k.trsm(_L, _L, _N, _N, dim, ctypes.c_int(n), k.one, a, dim, b, dim)
     return np.einsum("ij,ij->j", z.T, z.T).astype(np.float64, copy=False) / p
 
 
@@ -410,13 +458,16 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     with np.errstate(all="ignore"):
         x32 = x.astype(np.float32)
     switch = max(_SWITCH, cfg.tol)
+    # the RMS of the last float64 evaluation that halved it, and the float64
+    # evaluations since: `_STALL` of them end the solve
+    mark, stalled = math.inf, 0
 
     def step(y: np.ndarray) -> _Point:
         """The map at y, in float32 while `x32` is set. A float32 evaluation
         that fails (no Cholesky, or forms that are not finite and positive)
         ends the float32 phase and is done again, as the same evaluation, in
         float64."""
-        nonlocal evals, x32
+        nonlocal evals, x32, mark, stalled
         evals += 1
         d = np.zeros(n)
         d[live] = np.exp(y)
@@ -431,7 +482,16 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
         if x32 is None:
             sigma, forms = _d_map(kind, x, d, weigh, alpha)
         g = np.log(forms[live])
-        return _Point(y, sigma, forms, g, np.linalg.norm(g - y) / math.sqrt(max(g.size, 1)))
+        pt = _Point(y, sigma, forms, g, np.linalg.norm(g - y) / math.sqrt(max(g.size, 1)))
+        if x32 is None:
+            if pt.rms <= mark / 2:
+                mark, stalled = pt.rms, 0
+            else:
+                stalled += 1
+        return pt
+
+    def spent() -> bool:
+        return evals >= cfg.max_iter or stalled >= _STALL
 
     def defining_residual(pt: _Point) -> float:
         rhs = _defining_rhs(kind, x, weigh(pt.forms), alpha)
@@ -451,7 +511,7 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
                 if residual <= cfg.tol:
                     converged = True
                     break
-            if evals >= cfg.max_iter:
+            if spent():
                 break
             # two evaluations are compared (RMS, secant pair) only in one
             # precision: across the switch they also differ by float32 rounding
@@ -463,7 +523,7 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
                     df.clear()
                     dg.clear()
                     x32 = None
-                    if evals >= cfg.max_iter:
+                    if spent():
                         break
                     nxt = step(pt.g)
             else:

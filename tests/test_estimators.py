@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import blas, lapack
 
 from robust_scatter import (
+    ConvergenceError,
     Dataset,
     DistributionSpec,
     ExistenceError,
@@ -429,18 +430,46 @@ class TestDiagnostics:
         assert defining_residual("TE", data.samples, np.eye(5)) > 1e-3
 
 
+def f2py_inverse(chol):
+    """Reference for `estimators._invert_lower`: the same recursion, ?trtri on
+    diagonal blocks of at most 64 rows and two ?trmm products per split,
+    through scipy's f2py wrappers, which copy their inputs and hold the GIL.
+    Only the lower triangle of the result is the inverse."""
+    p = chol.shape[0]
+    if p <= 64:
+        inv, info = lapack.dtrtri(chol, lower=1)
+        assert info == 0
+        return inv
+    half = p // 2
+    inv = chol.copy()
+    inv[:half, :half] = f2py_inverse(chol[:half, :half])
+    inv[half:, half:] = f2py_inverse(chol[half:, half:])
+    lower_left = blas.dtrmm(1.0, inv[:half, :half], chol[half:, :half], side=1, lower=1)
+    inv[half:, :half] = blas.dtrmm(-1.0, inv[half:, half:], lower_left, lower=1)
+    return inv
+
+
 def f2py_quad_forms(x, sigma):
     """Reference for `quad_forms`: the same LAPACK and BLAS routines through
-    scipy's f2py wrappers, which copy their inputs and hold the GIL."""
+    scipy's f2py wrappers."""
     n, p = x.shape
     chol, info = lapack.dpotrf(sigma, lower=1, clean=0)
     assert info == 0
     if n >= p:
-        inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)
-        z = blas.dtrmm(1.0, inv, x.T, lower=1)
+        z = blas.dtrmm(1.0, f2py_inverse(chol), x.T, lower=1)
     else:
         z = blas.dtrsm(1.0, chol, x.T, lower=1)
     return np.einsum("ij,ij->j", z, z) / p
+
+
+def recursive_inverse(chol):
+    """The inverse of the lower triangular `chol` by `estimators._invert_lower`,
+    in chol's precision, with zeros above the diagonal."""
+    work = np.array(chol, order="F")
+    k = estimators._KERNELS[work.dtype]
+    dim = ctypes.c_int(work.shape[0])
+    estimators._invert_lower(k, k.scalar.from_buffer(work.T), dim, 0, dim.value, ctypes.c_int(0))
+    return np.tril(work)
 
 
 def _layout(a, order):
@@ -491,9 +520,34 @@ class TestQuadForms:
             p = 48 + 8 * (k % 4)
             x = rng.standard_normal((p // 2 if k % 2 else 2 * p, p))
             units.append((x, self._spd(rng, p)))
+        # and at p >= 129, where the inverse recurses two levels deep
+        for p in (129, 160, 192, 257):
+            units.append((rng.standard_normal((2 * p, p)), self._spd(rng, p)))
         serial = [quad_forms(x, s) for x, s in units]
         pooled = map_units(lambda u: quad_forms(*u), units, threads=2)
         assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+
+    @pytest.mark.parametrize("p", [64, 65, 96, 128, 129, 257, 512])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recursive_inverse_at_split_boundaries(self, p, dtype):
+        # p <= 64 is one ?trtri call; 65 and 129 split into blocks of unequal
+        # order; 129, 257 and 512 recurse two or more levels deep
+        rng = np.random.default_rng(46 + p)
+        a = rng.standard_normal((2 * p, p))
+        chol = np.linalg.cholesky(a.T @ a / (2 * p)).astype(dtype)
+        got = recursive_inverse(chol)
+        u = np.finfo(dtype).eps / 2
+        # the normwise bound of LAPACK's triangular inverses (Du Croz & Higham 1992)
+        lf, gf = chol.astype(np.float64), got.astype(np.float64)
+        bound = p * u * np.linalg.norm(gf) * np.linalg.norm(lf)
+        assert np.linalg.norm(gf @ lf - np.eye(p)) <= bound
+        whole, info = (lapack.dtrtri if dtype == np.float64 else lapack.strtri)(chol, lower=1)
+        assert info == 0
+        np.testing.assert_allclose(got, np.tril(whole), rtol=0,
+                                   atol=(1e-13 if dtype == np.float64 else 1e-5)
+                                   * np.abs(whole).max())
+        if dtype == np.float64:
+            assert np.array_equal(got, np.tril(f2py_inverse(chol)))
 
     @pytest.mark.parametrize("x_shape,sigma_shape", [((0, P), (P, P)), ((3, P), (P + 1, P + 1)),
                                                      ((3, P), (P, 1))])
@@ -676,6 +730,23 @@ class TestSolver:
         assert len(calls) == est.iterations + 1
         assert est.iterations <= max_iter
         assert est.converged == (max_iter == 500)
+
+    @pytest.mark.parametrize("kind", ["TE", "ME"])
+    def test_stalled_solve_stops_unconverged(self, kind, monkeypatch):
+        # columns 0 and 1 equal to within 1e-6: float64's RMS log-residual
+        # stops falling far above tol, and the solve stops there, well before
+        # max_iter = 500
+        dtypes = _record_dtypes(monkeypatch)
+        x = sample(DistributionSpec("gaussian"), 60, 6, seed=31).samples.copy()
+        x[:, 1] = x[:, 0] + 1e-6 * np.random.default_rng(33).standard_normal(60)
+        est = fit(kind, Dataset(x), rational_u())
+        assert not est.converged
+        assert est.iterations <= 50
+        # one call per evaluation and the start, plus one per failed float32 attempt
+        assert len(dtypes) == est.iterations + 1 + sum(t.endswith(":failed") for t in dtypes)
+        assert np.isfinite(est.residual) and est.residual > 1e-10
+        with pytest.raises(ConvergenceError, match=f"{kind} did not converge"):
+            est.require_converged()
 
     def test_uses_at_most_half_the_picard_evaluations(self):
         # a count guard on the acceleration itself, against the plain iteration

@@ -52,8 +52,10 @@ at Sigma(d) (one SYRK), and ``converged`` means it is at most the
 tolerance: every converged solve ends on a float64 evaluation. A solve
 whose float64 evaluations stop making progress ends, unconverged, before
 ``max_iter``: after ``_STALL`` = 2 ``_WINDOW`` float64 evaluations in a row
-that do not reach half the RMS log-residual of the last one that did (data
-too ill-conditioned for float64 to reach the tolerance stall there).
+none of which lowers the least float64 RMS log-residual so far (data too
+ill-conditioned for float64 to reach the tolerance stall there). Any new
+minimum counts as progress: near n = p, TE's RMS falls by small steps for
+tens of evaluations and then converges.
 ``iterations`` counts map evaluations of both precisions; a failed float32
 attempt and its float64 redo are one evaluation, so `quad_forms` runs
 ``iterations`` + 1 times, plus once per failed attempt. An unconverged
@@ -113,8 +115,8 @@ _SWITCH = 1e-5
 # 0.15-0.66 times the RMS (n = 2p, p = 64-512)
 _CHECK = 3.0
 # a solve stops, unconverged, after this many float64 evaluations in a row
-# that fail to halve the float64 RMS log-residual, counted from the last one
-# that did (or from the first float64 evaluation)
+# that fail to lower the least float64 RMS log-residual so far, counted from
+# the one that reached it
 _STALL = 2 * _WINDOW
 
 
@@ -458,8 +460,8 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
     with np.errstate(all="ignore"):
         x32 = x.astype(np.float32)
     switch = max(_SWITCH, cfg.tol)
-    # the RMS of the last float64 evaluation that halved it, and the float64
-    # evaluations since: `_STALL` of them end the solve
+    # the least float64 RMS so far, and the float64 evaluations since the one
+    # that reached it: `_STALL` of them end the solve
     mark, stalled = math.inf, 0
 
     def step(y: np.ndarray) -> _Point:
@@ -484,7 +486,7 @@ def _solve(kind: str, data: Dataset, u: Optional[UFunction], alpha: float,
         g = np.log(forms[live])
         pt = _Point(y, sigma, forms, g, np.linalg.norm(g - y) / math.sqrt(max(g.size, 1)))
         if x32 is None:
-            if pt.rms <= mark / 2:
+            if pt.rms < mark:
                 mark, stalled = pt.rms, 0
             else:
                 stalled += 1

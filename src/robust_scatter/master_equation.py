@@ -27,13 +27,17 @@ every d evaluated during root finding (common random numbers), which keeps
 the empirical F continuous and monotone in d up to rounding, so one call of
 scipy's `brentq` in log d, over the whole search range, finds its root to
 double precision on those draws. The Monte-Carlo error of d* therefore comes
-from the draws alone. A Gaussian draw keeps T; every other draw keeps the
-eigenvalues of S', and only a general Sigma_p also needs its eigenvectors.
-Each draw is seeded by its rep index.
+from the draws alone, and the search sweeps each point it evaluates once. A
+Gaussian draw keeps T; every other draw keeps the eigenvalues of S', and
+only a general Sigma_p also needs its eigenvectors. The Gaussian draws of
+one build come from one random stream, draw after draw, so the first R
+draws do not depend on how many are built; every other draw is seeded by
+its rep index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -75,15 +79,17 @@ class MasterEquationResult:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Rep r stands for n-1 rows (so n >= 2) seeded by ``derive_seed(seed, r)``.
-    `spec.require_dims(n - 1, p)` runs once, before any draw, and
-    `derive_seed` checks the seed before the first. When
-    `spec.standard_gaussian`, the rep draws the k x k tridiagonal
-    T = B^T B / n of the bidiagonal Wishart model (`_wishart_tridiagonal`,
-    k = min(n - 1, p)) and makes no rows; S' has the eigenvalues of T and
-    p - k zeros. The reps' diagonals and squared off-diagonals are kept as
-    the columns of two (k, reps) arrays, and Q sweeps their LDL^T pivots
-    across all reps at once: O(k) Python steps per evaluation. Otherwise
+    Rep r stands for n-1 rows (so n >= 2). `spec.require_dims(n - 1, p)`
+    runs once, before any draw, and `derive_seed` checks the seed before the
+    first. When `spec.standard_gaussian`, rep r is the k x k tridiagonal
+    T = B^T B / n of the bidiagonal Wishart model (k = min(n - 1, p)) and
+    makes no rows; S' has the eigenvalues of T and p - k zeros. One
+    `_wishart_tridiagonal` call draws every rep from one Generator seeded by
+    ``derive_seed(seed)``, rep r from row r of a single rep-major `chisquare`
+    call, so a build of R reps is the first R reps of any larger build. The
+    reps' diagonals and squared off-diagonals are kept as the columns of two
+    (k, reps) arrays, and Q sweeps their LDL^T pivots across all reps at
+    once: O(k) Python steps per evaluation. Otherwise
     the rep draws ``sample(spec, n - 1, p, derive_seed(seed, r))``, the rows
     x = mu + Y Sigma_p^{1/2} of every other draw of `spec`, and keeps the
     eigenvalues of S' = X^T X / n; for a general Sigma_p = `spec.shape` it
@@ -101,12 +107,8 @@ class QMonteCarlo:
         self.reps, self.p = int(reps), p
         self._lam = self._coef = self._diag = self._off2 = None
         if spec.standard_gaussian:
-            k = min(n - 1, p)
-            # row k-1 of the off-diagonal stays 0: the sweep reads rows 0..k-2
-            self._diag, self._off2 = np.empty((k, reps)), np.zeros((k, reps))
-            for r in range(reps):
-                rng = np.random.default_rng(derive_seed(seed, r))
-                self._diag[:, r], self._off2[:-1, r] = _wishart_tridiagonal(n - 1, p, rng)
+            rng = np.random.default_rng(derive_seed(seed))
+            self._diag, self._off2 = _wishart_tridiagonal(n - 1, p, reps, rng)
             self._diag /= n
             self._off2 /= n * n
             return
@@ -165,23 +167,31 @@ def _tridiagonal_inverse_trace(phi: float, shift: float, diag: np.ndarray,
     return total
 
 
-def _wishart_tridiagonal(m: int, p: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal and squared off-diagonal of a k x k tridiagonal B^T B whose
-    eigenvalues are, in law, the nonzero eigenvalues of X^T X for an m x p
-    matrix X of i.i.d. standard normals (Dumitriu & Edelman 2002), from
-    2 k - 1 chi draws; k = min(m, p), and X^T X has p - k more zeros.
+def _wishart_tridiagonal(m: int, p: int, reps: int,
+                         rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Diagonals and squared off-diagonals, as the columns of two (k, reps)
+    arrays, of `reps` independent k x k tridiagonals B^T B whose eigenvalues
+    are, in law, the nonzero eigenvalues of X^T X for an m x p matrix X of
+    i.i.d. standard normals (Dumitriu & Edelman 2002), from 2 k - 1 chi
+    draws each; k = min(m, p), and X^T X has p - k more zeros.
 
     With K = max(m, p), the upper bidiagonal k x k matrix B has diagonal
     a_i ~ chi_{K-i+1} and superdiagonal b_i ~ chi_{k-i}, all independent
     (drawn as a_i^2, then b_i^2). B^T B has diagonal a_i^2 + b_{i-1}^2 and
-    off-diagonal a_i b_i, returned squared: a_i^2 b_i^2.
+    off-diagonal a_i b_i, returned squared: a_i^2 b_i^2, with row k - 1 left
+    0 (the sweep reads rows 0..k-2). All reps come from one `chisquare` call
+    on `rng`, rep-major: rep r is row r of a (reps, 2 k - 1) draw, its a^2
+    then its b^2, so the first R reps do not depend on `reps`.
     """
     k, big = min(m, p), max(m, p)
-    a2 = rng.chisquare(np.arange(big, big - k, -1.0))
-    b2 = rng.chisquare(np.arange(k - 1, 0, -1.0))
+    dof = np.concatenate([np.arange(big, big - k, -1.0), np.arange(k - 1, 0, -1.0)])
+    draws = rng.chisquare(np.broadcast_to(dof, (reps, 2 * k - 1))).T
+    a2, b2 = draws[:k], draws[k:]
     diag = a2.copy()
     diag[1:] += b2
-    return diag, a2[:-1] * b2
+    off2 = np.zeros((k, reps))
+    off2[:-1] = a2[:-1] * b2
+    return diag, off2
 
 
 def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
@@ -191,7 +201,9 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     estimate of F (common random numbers across all d), over
     d in [0.5 * 2^-60, 2 * 2^60]. `ConvergenceError` unless F - 1 is > 0 at
     the low end and < 0 at the high end. Sigma_p is `spec.shape` (the
-    identity when None).
+    identity when None). F, Q and its standard error are kept per t
+    evaluated, so `brentq`'s own evaluations of the two ends and the result
+    at its root (a point it evaluated) run no second Q sweep.
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), otherwise the
     MRE case with weights u(d*). Each has its estimator's existence
@@ -206,13 +218,15 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     gamma = p / n
     mc = QMonteCarlo(spec, n, p, reps, seed)
 
-    def f_and_q(d: float) -> Tuple[float, float, float]:
+    @functools.cache  # brentq re-evaluates both ends and returns a point it evaluated
+    def f_and_q(t: float) -> Tuple[float, float, float]:
+        d = math.exp(t)
         phi_d = float(ufun.phi(np.asarray(d, dtype=float)))
         q, se = mc.q(phi_d, alpha * d)
         return (1.0 + alpha) * q / (1.0 + gamma * phi_d * q), q, se
 
     def excess(t: float) -> float:
-        return f_and_q(math.exp(t))[0] - 1.0
+        return f_and_q(t)[0] - 1.0
 
     # F is decreasing, so a sign change across the whole range brackets the root
     lo, hi = math.log(0.5 * 2.0 ** -60), math.log(2.0 * 2.0 ** 60)
@@ -229,8 +243,9 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
 
     # t is near 0 at the root, so brentq's default absolute xtol (2e-12)
     # would stop about 1e-12 short of d* in relative terms
-    d_star = math.exp(brentq(excess, lo, hi, xtol=1e-15))
-    f_star, q_star, se_star = f_and_q(d_star)
+    t_star = brentq(excess, lo, hi, xtol=1e-15)
+    d_star = math.exp(t_star)
+    f_star, q_star, se_star = f_and_q(t_star)
     return MasterEquationResult(
         d_star=d_star,
         f_residual=abs(f_star - 1.0),

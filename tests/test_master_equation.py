@@ -142,17 +142,18 @@ class TestBuild:
 
     @pytest.mark.parametrize("n,p", [(50, 12), (9, 12)], ids=["p<n-1", "p>n-1"])
     def test_gaussian_reps_are_the_bidiagonal_model(self, n, p):
-        # rep r is the tridiagonal T = B^T B / n, with B rebuilt from that rep's
-        # seeded chi draws: diagonal chi_{K-i+1}, superdiagonal chi_{k-i}; S'
-        # has T's k eigenvalues and p - k zeros
+        # rep r is the tridiagonal T = B^T B / n, with B rebuilt from row r of
+        # the build's one stream of chi draws, drawn rep by rep: diagonal
+        # chi_{K-i+1}, superdiagonal chi_{k-i}; S' has T's k eigenvalues and
+        # p - k zeros
         seed, m, reps = 8, n - 1, 6
         k, big = min(m, p), max(m, p)
         mc = QMonteCarlo(GAUSS, n, p, reps=reps, seed=seed)
         assert mc._diag.shape == mc._off2.shape == (k, reps)
         assert np.all(mc._off2[-1] == 0.0)  # row k-1 pads the k-1 off-diagonal entries
         per_rep = []
+        rng = np.random.default_rng(derive_seed(seed))
         for r in range(reps):
-            rng = np.random.default_rng(derive_seed(seed, r))
             a2 = rng.chisquare(np.arange(big, big - k, -1.0))
             b2 = rng.chisquare(np.arange(k - 1, 0, -1.0))
             np.testing.assert_array_equal(mc._diag[:, r], (a2 + np.append(0.0, b2)) / n)
@@ -165,6 +166,15 @@ class TestBuild:
             per_rep.append(np.mean(1.0 / (0.7 * lam + 1.3)))
         # Q counts the p - k zero eigenvalues, each as 1/(alpha d)
         assert mc.q(0.7, 1.3)[0] == pytest.approx(np.mean(per_rep), rel=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(50, 12), (9, 12)], ids=["p<n-1", "p>n-1"])
+    def test_gaussian_build_is_a_prefix_of_a_larger_one(self, n, p):
+        # all reps come from one stream, rep-major: a build of 7 reps is the
+        # first 7 reps of a build of 20
+        small = QMonteCarlo(GAUSS, n, p, reps=7, seed=8)
+        large = QMonteCarlo(GAUSS, n, p, reps=20, seed=8)
+        np.testing.assert_array_equal(small._diag, large._diag[:, :7])
+        np.testing.assert_array_equal(small._off2, large._off2[:, :7])
 
     @pytest.mark.parametrize("n,p", [(41, 20), (11, 20)])
     def test_gaussian_reps_follow_the_wishart_moments(self, n, p):
@@ -283,6 +293,22 @@ class TestSolveMaster:
         res = solve_master(GAUSS, 120, 60, alpha=1.0, u=None, reps=50, seed=3)
         q, _ = QMonteCarlo(GAUSS, 120, 60, reps=50, seed=3).q(1.0, 1.0 * res.d_star)
         assert res.q_star == q
+
+    @pytest.mark.parametrize("u", [None, rational_u()], ids=["TRE", "MRE"])
+    def test_never_sweeps_one_point_twice(self, monkeypatch, u):
+        # brentq evaluates both ends again and returns a point it evaluated;
+        # those and the final Q at the root reuse the sweeps already run
+        sweeps = []
+        q = QMonteCarlo.q
+
+        def recorded(self, phi_d, alpha_d):
+            sweeps.append((phi_d, alpha_d))
+            return q(self, phi_d, alpha_d)
+
+        monkeypatch.setattr(QMonteCarlo, "q", recorded)
+        res = solve_master(GAUSS, 120, 60, alpha=1.0, u=u, reps=50, seed=3)
+        assert len(sweeps) == len(set(sweeps)) >= 3
+        assert res.f_residual <= 1e-12
 
     def test_mre_upper_bound_identity_shape(self):
         res = solve_master(GAUSS, 80, 40, alpha=1.0, u=rational_u(),

@@ -18,10 +18,14 @@ u(d), rescaled for TE, and the map is d -> quad_forms(x, Sigma(d)); d is a
 fixed point iff Sigma(d) solves the estimator equation. The weighted
 covariance is formed as B^T B with B = x * sqrt(w/n) row-wise, which numpy
 hands to SYRK: half the flops of a general product, and exactly symmetric.
-The forms take a Cholesky factor and a triangular inverse or solve, called
-through scipy's Cython LAPACK/BLAS API by ctypes, in float64 (``dpotrf``,
-``dtrtri``, ``dtrmm``, ``dtrsm``) or float32 (``spotrf``, ``strtri``,
-``strmm``, ``strsm``). The factor is inverted by recursive 2 x 2 blocks,
+The forms take a Cholesky factor and a triangular inverse or solve, in
+float64 (``dpotrf``, ``dtrtri``, ``dtrmm``, ``dtrsm``) or float32
+(``spotrf``, ``strtri``, ``strmm``, ``strsm``), called by ctypes in scipy's
+OpenBLAS: bound by their ``scipy_<name>_`` symbols in the library that
+`parallel` loads by path, so that importing this module imports no scipy
+module, or, where scipy bundles no such library, through the capsules of
+scipy's Cython API (``scipy.linalg.cython_lapack``, ``cython_blas``), which
+wrap the same functions. The factor is inverted by recursive 2 x 2 blocks,
 ``?trtri`` on diagonal blocks of at most 64 rows and ``?trmm`` for the rest
 (`quad_forms`). Like numpy's SYRK, those calls release the GIL, so
 the replicates of a worker pool (`parallel.map_units`) run their map
@@ -72,13 +76,14 @@ equation that predict their weights. ``interference_h`` exposes the ME map.
 from __future__ import annotations
 
 import ctypes
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
 
+from . import parallel
 from .errors import ConvergenceError, ExistenceError
 from .model import Dataset, ScatterMatrix
 
@@ -251,10 +256,12 @@ class ScatterEstimate:
         return self
 
 
-# LAPACK and BLAS through scipy's Cython API (LP64, Fortran calling
-# convention: every argument by pointer). A ctypes foreign call releases the
-# GIL, so `map_units` workers overlap these kernels; scipy's f2py wrappers
-# hold the GIL for the whole call.
+# LAPACK and BLAS of scipy's OpenBLAS (LP64, Fortran calling convention:
+# every argument by pointer), by symbol from `parallel.SCIPY_OPENBLAS`, or,
+# when that is None, from the capsules of scipy's Cython API, which wrap the
+# same functions. A ctypes foreign call releases the GIL, so `map_units`
+# workers overlap these kernels; scipy's f2py wrappers hold the GIL for the
+# whole call.
 _CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
@@ -262,9 +269,16 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _kernel(module, name: str, *argtypes):
-    capsule = module.__pyx_capi__[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+def _kernel(module: str, name: str, *argtypes):
+    """Kernel `name` (``dpotrf``, ...) of scipy's OpenBLAS, of library
+    `module` ("lapack" or "blas"), as a ctypes function."""
+    lib = parallel.SCIPY_OPENBLAS
+    if lib is not None:
+        address = ctypes.cast(getattr(lib, f"scipy_{name}_"), ctypes.c_void_p).value
+    else:
+        capsule = importlib.import_module(f"scipy.linalg.cython_{module}").__pyx_capi__[name]
+        address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
 class _Kernels(NamedTuple):
@@ -292,10 +306,10 @@ def _bind(prefix: str, scalar: type) -> _Kernels:
     real = ctypes.POINTER(scalar)
     triangular = (*(_CHAR,) * 4, *(_INT,) * 2, *(real,) * 2, _INT, real, _INT)
     return _Kernels(prefix, scalar, ctypes.sizeof(scalar), scalar(1.0), scalar(-1.0),
-                    _kernel(cython_lapack, prefix + "potrf", _CHAR, _INT, real, _INT, _INT),
-                    _kernel(cython_lapack, prefix + "trtri", _CHAR, _CHAR, _INT, real, _INT, _INT),
-                    _kernel(cython_blas, prefix + "trmm", *triangular),
-                    _kernel(cython_blas, prefix + "trsm", *triangular))
+                    _kernel("lapack", prefix + "potrf", _CHAR, _INT, real, _INT, _INT),
+                    _kernel("lapack", prefix + "trtri", _CHAR, _CHAR, _INT, real, _INT, _INT),
+                    _kernel("blas", prefix + "trmm", *triangular),
+                    _kernel("blas", prefix + "trsm", *triangular))
 
 
 _FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -352,7 +366,9 @@ def quad_forms(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     and sigma are both float32 (the solver's first phase: ``spotrf``,
     ``strtri``, ``strmm``, ``strsm``) and in float64 otherwise (``dpotrf``,
     ``dtrtri``, ``dtrmm``, ``dtrsm``); the forms are float64 either way.
-    The kernels, scipy's OpenBLAS in both precisions, run without the GIL,
+    The kernels, scipy's OpenBLAS in both precisions (bound by symbol from
+    the library `parallel` loads by path, else through scipy's Cython
+    capsules; see the module docstring), run without the GIL,
     in place on a Fortran-ordered copy of sigma and on a C-ordered copy of
     x, whose memory is the Fortran-ordered x^T they take. Only the lower
     triangle of sigma is read. `ValueError` unless x is a nonempty n x p

@@ -295,7 +295,9 @@ def quadratic_form_diagnostics(data: Dataset) -> QuadraticFormReport:
         q_loo[i] = float(quad_forms(x[i : i + 1], s_minus)[0])
 
     linked = q_loo / (1.0 + gamma * q_loo)
-    rel_err = np.abs(q_full - linked) / np.abs(q_full)
+    # an all-zero row has q_full = q_loo = 0: the link holds exactly, error 0
+    gap = np.abs(q_full - linked)
+    rel_err = np.divide(gap, np.abs(q_full), out=np.zeros(n), where=gap != 0)
     return QuadraticFormReport(
         n=n, p=p, gamma=gamma,
         max_dev_full=float(np.max(np.abs(q_full - 1.0))),

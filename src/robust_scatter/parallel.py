@@ -9,16 +9,27 @@ independent of ``OPENBLAS_NUM_THREADS``. Replicate and column loops
 (`experiment.weight_deviation_experiment`, `sparse.clime`) hand their units
 to `map_units`, so each worker runs one BLAS thread.
 
-A process running numpy and scipy carries two OpenBLAS copies: numpy's
+A process running the package carries two OpenBLAS copies: numpy's
 (``libscipy_openblas64_``: matrix products, the solvers' SYRK Gram,
-eigenvalues) and scipy's (``libscipy_openblas``: the Cholesky and triangular
-kernels of ``estimators.quad_forms``, which reaches them through
-``scipy.linalg.cython_lapack`` and ``cython_blas``). Both are found in
-``/proc/self/maps`` and set through their C-ABI setters, which take the
-count by value. The pin records each copy it set, with its getter and
-setter, in `_PINNED`; `blas_report` reads that record and binds nothing
-itself. A copy without a known setter, or mapped after the import, is left
-as it is, and `blas_report` calls it unmanaged.
+eigenvalues), mapped by ``import numpy``, and scipy's
+(``libscipy_openblas``: the Cholesky and triangular kernels of
+``estimators.quad_forms``). scipy's copy is mapped without importing scipy:
+`SCIPY_OPENBLAS` is that library, loaded by path with ``ctypes.CDLL`` from
+the ``scipy.libs`` folder next to the package that
+``importlib.util.find_spec("scipy")`` locates (which runs no scipy code),
+and `estimators` binds its kernels by symbol from it. A later
+``import scipy.linalg`` (by `simplex` or `master_equation`'s root search)
+maps the same file again, which the loader resolves to the one copy already
+mapped, so the pin below covers it. Where scipy bundles no such library
+(conda or system scipy, non-Linux wheels, scipy < 1.13, whose bundled
+symbols carry no ``scipy_`` prefix) `SCIPY_OPENBLAS` is None, this module
+imports ``scipy.linalg`` to map scipy's LAPACK before the pin, and
+`estimators` takes the kernels from scipy's Cython capsules. Both copies
+are then found in ``/proc/self/maps`` and set through their C-ABI setters,
+which take the count by value. The pin records each copy it set, with its
+getter and setter, in `_PINNED`; `blas_report` reads that record and binds
+nothing itself. A copy without a known setter, or mapped after the import,
+is left as it is, and `blas_report` calls it unmanaged.
 
 The workers are threads, so they overlap only native calls that release the
 GIL: numpy's matrix products and ``linalg``, ``quad_forms``' kernels and
@@ -30,15 +41,16 @@ master-equation draws run in the calling thread, outside any worker loop.
 from __future__ import annotations
 
 import ctypes
+import glob
+import importlib.util
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, TypeVar
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 import numpy  # noqa: F401  (both OpenBLAS copies must be mapped before the pin below)
-import scipy.linalg  # noqa: F401
 
-__all__ = ["blas_report", "require_threads", "map_units"]
+__all__ = ["SCIPY_OPENBLAS", "blas_report", "require_threads", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -50,6 +62,33 @@ _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
+
+
+def _scipy_openblas() -> Optional[ctypes.CDLL]:
+    """scipy's bundled LP64 OpenBLAS (``scipy.libs/libscipy_openblas*.so``),
+    loaded by path, or None when scipy bundles none whose LAPACK symbols
+    carry the ``scipy_`` prefix."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = os.path.dirname(list(spec.submodule_search_locations)[0])
+    for path in sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))):
+        if "openblas64" in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_dpotrf_"):
+            return lib
+    return None
+
+
+# scipy's copy must be mapped before the pin below: by path, else through
+# scipy.linalg, whose Cython capsules `estimators` then binds
+SCIPY_OPENBLAS = _scipy_openblas()
+if SCIPY_OPENBLAS is None:
+    import scipy.linalg  # noqa: F401
 
 
 def _openblas_paths() -> List[str]:

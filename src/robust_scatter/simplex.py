@@ -5,8 +5,9 @@ Solves   min c^T x   subject to   lb <= A x <= ub,  x >= 0
 (lb = -inf for a one-sided row) as one ``LinearConstraint`` handed to
 ``scipy.optimize.milp`` with no integrality, and maps the HiGHS outcome
 onto the package's typed errors. ``milp`` is imported on first use:
-``scipy.optimize`` adds more than half to the package's import time, and
-only the CLIME pipeline needs it.
+``scipy.optimize``, with the ``scipy.linalg`` it imports, takes about
+0.29 s to import, nearly four times the package's own 0.08 s (fresh
+processes, 2 cores), and only the CLIME pipeline needs it.
 """
 
 from __future__ import annotations

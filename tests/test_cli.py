@@ -10,7 +10,7 @@ import pytest
 
 import robust_scatter
 from robust_scatter import (DistributionSpec, RadialLaw, SolverConfig, clime, fit,
-                             load_dataset_csv, matrix_norms, rational_u, sample,
+                             load_dataset_csv, matrix_norms, parallel, rational_u, sample,
                              sample_covariance, save_matrix_csv, sparse_cov_estimate, tyler)
 from robust_scatter.cli import _parse_radial, _resolve_u, build_parser, estimate_to_dict, main
 from robust_scatter.model import matrix_csv_text
@@ -667,6 +667,17 @@ class TestDiagnose:
         assert doc["eigen_bounds"]["lambda_min"] > 0
         assert doc["stieltjes"]["m_hat"] > 0
 
+    def test_zero_row_link_error_is_zero(self, tmp_path, capsys):
+        # the zero row's forms are q_full = q_loo = 0, where the link holds
+        # exactly; its relative error is 0, not 0/0 = NaN (not JSON)
+        x = sample(DistributionSpec("gaussian"), 40, 5, seed=0).samples.copy()
+        x[3] = 0.0
+        path = tmp_path / "zero_row.csv"
+        save_matrix_csv(x, path, digits=17)
+        assert run("diagnose", "--input", path) == 0
+        doc = loads_strict(capsys.readouterr().out)
+        assert 0 <= doc["quadratic_forms"]["max_sherman_morrison_rel_err"] < 1e-10
+
     def test_requires_input_or_params(self, capsys):
         assert run("diagnose", "--dist", "gaussian") == 1
 
@@ -735,3 +746,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_commands_without_lp_or_root_search_leave_scipy_unloaded(data_csv, tmp_path):
+    # quad_forms binds scipy's bundled OpenBLAS by path, so the commands
+    # that need no LP and no root search import no scipy module at all
+    if parallel.SCIPY_OPENBLAS is None:
+        pytest.skip("scipy bundles no libscipy_openblas: its kernels come through scipy.linalg")
+    commands = _commands(data_csv, tmp_path)
+    argvs = [[str(a) for a in commands[name]]
+             for name in ("estimate", "simulate", "sparse-cov", "diagnose")]
+    src = str(Path(robust_scatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, sys, robust_scatter.cli as cli; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert loaded == []

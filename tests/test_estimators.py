@@ -27,6 +27,7 @@ from robust_scatter import (
 )
 import robust_scatter.estimators as estimators
 from robust_scatter.estimators import quad_forms
+from robust_scatter import parallel
 from robust_scatter.parallel import map_units
 
 from fixed_point_oracle import defining_residual, picard_oracle, tyler_objective, weights
@@ -472,6 +473,14 @@ def recursive_inverse(chol):
     return np.tril(work)
 
 
+def capsule_kernels(monkeypatch):
+    """`quad_forms`' kernels in both precisions bound as where scipy bundles
+    no libscipy_openblas: through scipy's Cython capsules."""
+    monkeypatch.setattr(parallel, "SCIPY_OPENBLAS", None)
+    return {np.dtype(np.float64): estimators._bind("d", ctypes.c_double),
+            np.dtype(np.float32): estimators._bind("s", ctypes.c_float)}
+
+
 def _layout(a, order):
     """`a` as a C-ordered, F-ordered or strided (every other entry) array."""
     if order == "strided":
@@ -512,6 +521,18 @@ class TestQuadForms:
         x = rng.standard_normal((n, p))
         got = quad_forms(_layout(x, order), _layout(sigma, order))
         assert np.array_equal(got, f2py_quad_forms(x, sigma))
+
+    @pytest.mark.parametrize("p", [48, 64, 65, 129, 257])
+    @pytest.mark.parametrize("rows", ["p/2", "2p"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kernels_by_path_equal_capsule_kernels(self, p, rows, dtype, monkeypatch):
+        n = {"p/2": p // 2, "2p": 2 * p}[rows]
+        rng = np.random.default_rng(47 + p + n)
+        sigma = self._spd(rng, p).astype(dtype)
+        x = rng.standard_normal((n, p)).astype(dtype)
+        got = quad_forms(x, sigma)
+        monkeypatch.setattr(estimators, "_KERNELS", capsule_kernels(monkeypatch))
+        assert np.array_equal(got, quad_forms(x, sigma))
 
     def test_worker_pool_equals_serial(self):
         rng = np.random.default_rng(44)

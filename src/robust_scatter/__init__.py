@@ -12,7 +12,6 @@ from .errors import (
     ExistenceError,
     InfeasibleError,
     RobustScatterError,
-    UnboundedError,
 )
 from .estimators import (
     ScatterEstimate,

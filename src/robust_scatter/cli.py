@@ -48,9 +48,9 @@ from .experiment import (
     weight_deviation_experiment,
 )
 from .master_equation import MC_REPS, solve_master
-from .model import (load_dataset_csv, matrix_csv_text, matrix_norms, sample_covariance,
-                    write_text_atomic)
-from .parallel import blas_report, require_threads
+from .model import (load_dataset_csv, matrix_csv_text, matrix_norms, require_count,
+                    sample_covariance, write_text_atomic)
+from .parallel import blas_report
 from .samplers import DistributionSpec, RadialLaw, sample
 from .sparse import clime as clime_solve
 from .sparse import require_lambda, sparse_cov_estimate
@@ -306,7 +306,7 @@ def _cmd_sparse_cov(args) -> tuple[str, dict]:
 
 
 def _cmd_clime(args) -> tuple[str, dict]:
-    require_threads(args.threads)  # both before the proxy solve, not after it
+    require_count("threads", args.threads)  # both before the proxy solve, not after it
     require_lambda(args.lam)
     data = load_dataset_csv(args.input)
     truth = _load_truth(args, data.p)

@@ -34,9 +34,3 @@ class InfeasibleError(RobustScatterError, RuntimeError):
     """Linear program has no feasible point at the given parameters."""
 
     code = "infeasible"
-
-
-class UnboundedError(RobustScatterError, RuntimeError):
-    """Linear program objective is unbounded below."""
-
-    code = "unbounded"

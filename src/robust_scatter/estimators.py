@@ -85,7 +85,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ConvergenceError, ExistenceError
-from .model import Dataset, ScatterMatrix
+from .model import Dataset, ScatterMatrix, require_count
 
 __all__ = [
     "KINDS",
@@ -227,8 +227,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", require_count("max_iter", self.max_iter))
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,11 +583,12 @@ def require_existence(kind: str, n: int, p: int, u: Optional[UFunction] = None,
     samples in dimension p: n > p for TE and ME, a u whose phi crosses 1 and
     has phi_inf > 1 for ME, alpha > max(0, p/n - 1) for TRE and alpha > 0 for
     MRE (Kent & Tyler 1991; Ollila & Tyler 2014). The TRE and MRE master
-    equations have the same conditions. `ValueError`, checked first, when n
-    or p is below 1, and when ME or MRE has no u.
+    equations have the same conditions. `ValueError`, checked first, unless
+    n and p are counts of at least 1 (`model.require_count`), and when ME or
+    MRE has no u.
     """
-    if n < 1 or p < 1:
-        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
+    require_count("n", n)
+    require_count("p", p)
     if kind in ("ME", "MRE") and u is None:
         raise ValueError(f"kind {kind} needs a u function")
     if kind in ("TE", "ME") and n <= p:

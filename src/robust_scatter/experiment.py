@@ -10,7 +10,6 @@ makes the grid points (index, p, n = ratio·p); `_STATS` names the statistics.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Tuple
@@ -20,9 +19,9 @@ import numpy as np
 from .errors import ConvergenceError
 from .estimators import KINDS, SolverConfig, UFunction, fit, quad_forms, require_existence
 from .master_equation import MC_REPS, MasterEquationResult, solve_master
-from .model import Dataset, sample_covariance
-from .parallel import map_units, require_threads
-from .samplers import DistributionSpec, derive_seed, require_seed, sample
+from .model import Dataset, require_count, sample_covariance
+from .parallel import map_units
+from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
     "ExperimentConfig",
@@ -52,11 +51,12 @@ class ExperimentConfig:
     (`DistributionSpec.require_dims`) and then `require_existence`, so a
     grid that cannot be drawn, or on which the estimator does not exist,
     fails before any solve: they walk the grid points the experiment runs.
-    `dims`, `ratio`, `reps` and `mc_reps` are integers (numpy ones pass);
-    `base_seed` is a seed (`samplers.require_seed`), checked with them;
-    `solver` configures every replicate's solve. `mc_reps` (at least 1, for
-    every kind) sets the Monte-Carlo draws of the master-equation solve that
-    predicts the TRE/MRE limits (one solve per dimension).
+    `dims`, `ratio`, `reps`, `mc_reps` and `threads` are counts of at least
+    1 and `base_seed` (named ``seed`` in messages) one of at least 0, each
+    checked and stored as an int by `model.require_count` (numpy integers
+    pass); `solver` configures every replicate's solve. `mc_reps` (checked
+    for every kind) sets the Monte-Carlo draws of the master-equation solve
+    that predicts the TRE/MRE limits (one solve per dimension).
     """
 
     kind: str
@@ -74,17 +74,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        dims = tuple(_integer("dims", d) for d in self.dims)
+        dims = tuple(require_count("dims", d) for d in self.dims)
         if len(dims) < 1 or any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dims must be a non-empty strictly increasing sequence")
         object.__setattr__(self, "dims", dims)
-        for name in ("reps", "ratio", "mc_reps"):
-            value = _integer(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "base_seed", require_seed(self.base_seed))
-        require_threads(self.threads)
+        for name in ("reps", "ratio", "mc_reps", "threads"):
+            object.__setattr__(self, name, require_count(name, getattr(self, name)))
+        object.__setattr__(self, "base_seed", require_count("seed", self.base_seed, 0))
         if self.dist.shape is not None:
             raise ValueError("experiment spec must be shape-free (identity population shape)")
         for _, p, n in self._grid():
@@ -94,13 +90,6 @@ class ExperimentConfig:
     def _grid(self) -> Iterator[_GridPoint]:
         """The grid points in order: the one place n is made from p."""
         return (_GridPoint(k, p, self.ratio * p) for k, p in enumerate(self.dims))
-
-
-def _integer(name: str, value) -> int:
-    try:  # numpy integers pass, stored as int
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be integral, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -278,21 +267,30 @@ class QuadraticFormReport:
 
 
 def quadratic_form_diagnostics(data: Dataset) -> QuadraticFormReport:
-    """Evaluate both quadratic-form families and their algebraic link."""
+    """Evaluate both quadratic-form families and their algebraic link.
+
+    `LinAlgError` naming the matrix, the sample covariance or the
+    leave-one-out covariance without row i, that is not positive definite.
+    """
     if data.n <= data.p:
         raise ValueError(f"diagnostics need n > p (got n={data.n}, p={data.p})")
     x = data.samples
     n, p = data.n, data.p
     gamma = p / n
     s = sample_covariance(data).entries
-    q_full = quad_forms(x, s)
-
-    # downdate S per row, but factor each S_{-i} on its own: the link below
-    # must compare two independent factorizations
-    q_loo = np.empty(n)
-    for i in range(n):
-        s_minus = s - np.outer(x[i], x[i]) / n
-        q_loo[i] = float(quad_forms(x[i : i + 1], s_minus)[0])
+    i = None  # the row left out, once the leave-one-out forms start
+    try:
+        q_full = quad_forms(x, s)
+        # downdate S per row, but factor each S_{-i} on its own: the link
+        # below must compare two independent factorizations
+        q_loo = np.empty(n)
+        for i in range(n):
+            s_minus = s - np.outer(x[i], x[i]) / n
+            q_loo[i] = float(quad_forms(x[i : i + 1], s_minus)[0])
+    except np.linalg.LinAlgError:
+        which = ("sample covariance" if i is None
+                 else f"leave-one-out covariance without row {i}")
+        raise np.linalg.LinAlgError(f"{which} is not positive definite") from None
 
     linked = q_loo / (1.0 + gamma * q_loo)
     # an all-zero row has q_full = q_loo = 0: the link holds exactly, error 0

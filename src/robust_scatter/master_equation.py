@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .estimators import UFunction, require_existence, tyler_u
+from .model import require_count
 from .samplers import DistributionSpec, derive_seed, sample
 
 __all__ = [
@@ -79,9 +80,10 @@ class MasterEquationResult:
 class QMonteCarlo:
     """Monte-Carlo estimator of Q with draws frozen at construction.
 
-    Rep r stands for n-1 rows (so n >= 2). `spec.require_dims(n - 1, p)`
-    runs once, before any draw, and `derive_seed` checks the seed before the
-    first. When `spec.standard_gaussian`, rep r is the k x k tridiagonal
+    `reps` and `n` are counts (`model.require_count`). Rep r stands for n-1
+    rows (so n >= 2). `spec.require_dims(n - 1, p)` runs once, before any
+    draw, and `derive_seed` checks the seed before the first. When
+    `spec.standard_gaussian`, rep r is the k x k tridiagonal
     T = B^T B / n of the bidiagonal Wishart model (k = min(n - 1, p)) and
     makes no rows; S' has the eigenvalues of T and p - k zeros. One
     `_wishart_tridiagonal` call draws every rep from one Generator seeded by
@@ -99,12 +101,11 @@ class QMonteCarlo:
     """
 
     def __init__(self, spec: DistributionSpec, n: int, p: int, reps: int, seed: int):
-        if reps < 1:
-            raise ValueError("reps must be at least 1")
-        if n < 2:
+        reps = require_count("reps", reps)
+        if require_count("n", n) < 2:
             raise ValueError(f"the master equation draws n - 1 rows and needs n >= 2, got n={n}")
         spec.require_dims(n - 1, p)
-        self.reps, self.p = int(reps), p
+        self.reps, self.p = reps, p
         self._lam = self._coef = self._diag = self._off2 = None
         if spec.standard_gaussian:
             rng = np.random.default_rng(derive_seed(seed))
@@ -207,8 +208,9 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
 
     `u` = None selects the TRE case (phi == 1, weights 1/d*), otherwise the
     MRE case with weights u(d*). Each has its estimator's existence
-    condition on alpha, and n, p >= 1 (`estimators.require_existence`);
-    the draws then need n >= 2 (`QMonteCarlo`), checked before any draw.
+    condition on alpha, and n and p are counts of at least 1
+    (`estimators.require_existence`); the draws then need n >= 2
+    (`QMonteCarlo`), checked before any draw.
     """
     from scipy.optimize import brentq  # first use only, as in `simplex`
 
@@ -249,7 +251,7 @@ def solve_master(spec: DistributionSpec, n: int, p: int, alpha: float,
     return MasterEquationResult(
         d_star=d_star,
         f_residual=abs(f_star - 1.0),
-        mc_reps=reps,
+        mc_reps=mc.reps,
         mc_stderr=se_star,
         predicted_weight=float(ufun.u(np.asarray(d_star, dtype=float))),
         kind=kind,

@@ -3,11 +3,14 @@
 Conventions used throughout the package: a dataset is an n-by-p real matrix
 whose rows are observations, the sample covariance keeps the 1/n
 normalization (also for leave-one-out versions), and indices are zero-based.
+`require_count` is the one rule for every count, size, seed and index the
+package takes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -19,6 +22,7 @@ __all__ = [
     "Dataset",
     "ScatterMatrix",
     "NormReport",
+    "require_count",
     "sample_covariance",
     "leave_one_out_covariance",
     "matrix_norms",
@@ -27,6 +31,18 @@ __all__ = [
     "save_matrix_csv",
     "write_text_atomic",
 ]
+
+
+def require_count(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int, or `ValueError` naming `name`: an integer (numpy
+    integers pass) of at least `minimum`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integral, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return count
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -43,14 +43,15 @@ from __future__ import annotations
 import ctypes
 import glob
 import importlib.util
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 import numpy  # noqa: F401  (both OpenBLAS copies must be mapped before the pin below)
 
-__all__ = ["SCIPY_OPENBLAS", "blas_report", "require_threads", "map_units"]
+from .model import require_count
+
+__all__ = ["SCIPY_OPENBLAS", "blas_report", "map_units"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -140,22 +141,14 @@ def blas_report() -> List[dict]:
     ]
 
 
-def require_threads(threads: int) -> None:
-    """`ValueError` unless `threads` is a worker count `map_units` accepts,
-    an integer of at least 1. Callers doing work before their map check here first."""
-    if not isinstance(threads, numbers.Integral):
-        raise ValueError(f"threads must be integral, got {threads!r}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-
-
 def map_units(fn: Callable[[T], R], items: Iterable[T], threads: int) -> List[R]:
     """``[fn(x) for x in items]`` on `threads` workers, results in input order.
 
     One worker runs the units in the calling thread; more use a thread pool.
-    The first exception raised by `fn` propagates.
+    The first exception raised by `fn` propagates. `threads` is a count
+    (`model.require_count`), checked before any unit runs.
     """
-    require_threads(threads)
+    threads = require_count("threads", threads)
     if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

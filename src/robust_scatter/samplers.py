@@ -14,21 +14,21 @@ Families:
   the construction is kept verbatim because Tyler-type estimators absorb
   the scale.
 
-All draws are deterministic functions of (spec, n, p, seed). Every seed is
-a non-negative integer (:func:`require_seed`). Sub-seeds for parallel or
+All draws are deterministic functions of (spec, n, p, seed). Every seed and
+every index of a seed path is an integer of at least 0, and n and p are
+integers of at least 1 (`model.require_count`). Sub-seeds for parallel or
 repeated work are derived with :func:`derive_seed`, which feeds the index
 path into ``numpy.random.SeedSequence``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .model import Dataset, ScatterMatrix
+from .model import Dataset, ScatterMatrix, require_count
 
 __all__ = [
     "RadialLaw",
@@ -37,7 +37,6 @@ __all__ = [
     "sample",
     "symmetrize",
     "derive_seed",
-    "require_seed",
     "spd_sqrt",
 ]
 
@@ -46,27 +45,15 @@ FAMILIES = ("gaussian", "laplace-iid", "permuted-smoothed", "elliptical")
 _EIG_FLOOR = 1e-12
 
 
-def require_seed(seed) -> int:
-    """`seed` as an int, or `ValueError` naming its value: the one rule for
-    every seed, a non-negative integer (numpy integers pass). `sample`,
-    `derive_seed` (so `master_equation.QMonteCarlo`) and
-    `experiment.ExperimentConfig` check it before any draw."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1  # not an integer: rejected with the negative ones
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
-
-
 def derive_seed(base_seed: int, *path: int) -> int:
     """Deterministic sub-seed for the task identified by `path`.
 
     Rule: the entropy of a ``numpy.random.SeedSequence`` is the tuple
-    (base_seed, *path); the derived seed is its first generated word.
+    (base_seed, *path); the derived seed is its first generated word. The
+    seed and each path index are counts of at least 0 (`require_count`).
     """
-    ss = np.random.SeedSequence([require_seed(base_seed), *[int(i) for i in path]])
+    ss = np.random.SeedSequence([require_count("seed", base_seed, 0),
+                                 *[require_count("path index", i, 0) for i in path]])
     return int(ss.generate_state(1)[0])
 
 
@@ -133,11 +120,12 @@ class DistributionSpec:
 
     def require_dims(self, n: int, p: int) -> None:
         """`ValueError` unless this spec can draw n rows of dimension p:
-        n, p >= 1, p even for ``permuted-smoothed``, and a `shape` and `mean`
-        (when set) of dimension p. `sample` checks every draw here; callers
-        that draw later (`experiment.ExperimentConfig`) check up front."""
-        if n < 1 or p < 1:
-            raise ValueError(f"n and p must be positive, got n={n}, p={p}")
+        n and p counts of at least 1 (`require_count`), p even for
+        ``permuted-smoothed``, and a `shape` and `mean` (when set) of
+        dimension p. `sample` checks every draw here; callers that draw later
+        (`experiment.ExperimentConfig`) check up front."""
+        require_count("n", n)
+        require_count("p", p)
         if self.family == "permuted-smoothed" and p % 2 != 0:
             raise ValueError(f"permuted-smoothed requires even p, got p={p}")
         if self.shape is not None and self.shape.p != p:
@@ -201,9 +189,10 @@ def _isotropic_rows(spec: DistributionSpec, n: int, p: int, rng: np.random.Gener
 
 def sample(spec: DistributionSpec, n: int, p: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows of dimension p from `spec`, deterministically in
-    seed; `spec.require_dims(n, p)` and `require_seed(seed)` first."""
+    seed; `spec.require_dims(n, p)` first, and the seed is a count of at
+    least 0 (`require_count`)."""
     spec.require_dims(n, p)
-    rng = np.random.default_rng(require_seed(seed))
+    rng = np.random.default_rng(require_count("seed", seed, 0))
     rows = _isotropic_rows(spec, n, p, rng)
     if spec.root is not None:
         rows = rows @ spec.root  # the root is symmetric

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, UnboundedError
+from .errors import ConvergenceError, InfeasibleError
 
 __all__ = ["solve_lp"]
 
@@ -22,8 +22,9 @@ __all__ = ["solve_lp"]
 def solve_lp(c, a, lb, ub):
     """Minimize c @ x over {lb <= A x <= ub, x >= 0}; returns (x, objective).
 
-    Raises InfeasibleError or UnboundedError as appropriate, and
-    ConvergenceError for any other solver failure.
+    Raises InfeasibleError when no x is feasible, and ConvergenceError for
+    any other solver failure. (CLIME, the one caller, minimizes a
+    nonnegative objective, so it is never unbounded.)
     """
     from scipy.optimize import LinearConstraint, milp
 
@@ -31,8 +32,6 @@ def solve_lp(c, a, lb, ub):
     res = milp(c, constraints=LinearConstraint(a, lb, ub))  # milp's default bounds: x >= 0
     if res.status == 2:
         raise InfeasibleError(f"LP infeasible: {res.message}")
-    if res.status == 3:
-        raise UnboundedError(f"objective is unbounded below: {res.message}")
     if res.status != 0:
         raise ConvergenceError(f"LP solver failed (status {res.status}): {res.message}")
     return res.x, float(c @ res.x)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,7 +275,7 @@ class TestMasterEq:
                  "--dist", "gaussian", "--reps", "20", "--seed", "3", "--out", out)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "n and p must be positive" in err
+        assert err.startswith("error: ") and re.search(r"[np] must be at least 1, got -?\d", err)
         assert err.count("\n") == 1
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
@@ -289,7 +290,7 @@ def test_negative_seed_exits_1_naming_the_seed(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 1
     seed = argv[-1]
-    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert capsys.readouterr().err == f"error: seed must be at least 0, got {seed}\n"
     assert not out.exists()
 
 
@@ -439,6 +440,7 @@ def test_non_finite_float_flag_exits_1(command, flags, value, data_csv, tmp_path
 
 DATA = object()  # stands for the dataset CSV of `data_csv`
 ONE_COLUMN = object()  # stands for a 50 x 1 dataset CSV
+LOO_SINGULAR = object()  # stands for 30 x 5 data whose column 4 lives only in row 3
 # bad invocations (without --out); a tuple is the shape of a --truth matrix
 # written next to the data. Each must be rejected before any solve, except
 # those of DRAW_CHECKED, which `solve_master` rejects before its first draw.
@@ -477,10 +479,11 @@ BAD_INVOCATIONS = {
     "diagnose-input-p": ("diagnose", "--input", DATA, "--p", "5"),
     "diagnose-singular-eps-0": ("diagnose", "--p", "3", "--n", "2", "--seed", "1",
                                 "--eps", "0"),
+    "diagnose-singular-leave-one-out": ("diagnose", "--input", LOO_SINGULAR),
 }
 # the one stderr line of each, after `error: `; a flag the CLI splits itself is named
 EXPECTED_ERRORS = {
-    "tre-dims-0": "n and p must be positive, got n=0, p=0",
+    "tre-dims-0": "dims must be at least 1, got 0",
     "odd-permuted-smoothed-dim": "permuted-smoothed requires even p, got p=65",
     **{f"{command}-truth-{r}x{c}": f"--truth is {r}x{c}, expected 10x10"
        for command in ("sparse-cov", "clime") for r, c in ((1, 1), (1, 10), (11, 11))},
@@ -488,17 +491,19 @@ EXPECTED_ERRORS = {
     "radial-constant-empty": "bad --radial value 'constant:': expected a finite number, got ''",
     "dims-not-integer": "bad --dims value '64,x': expected comma-separated integers",
     "gamma-0": "--gamma must be positive, got 0",
-    "threads-0": "threads must be at least 1",
+    "threads-0": "threads must be at least 1, got 0",
     "clime-lambda-0": "lambda must be positive",
     "sparse-cov-c1-negative": "c1 must be nonnegative",
     "sparse-cov-one-column": "need n >= 1 and p > 1",
-    "mc-reps-0": "mc_reps must be at least 1",
+    "mc-reps-0": "mc_reps must be at least 1, got 0",
     "u-huber-empty": "bad --u value 'huber:': expected a finite number, got ''",
     "u-huber-not-a-number": "bad --u value 'huber:abc': expected a finite number, got 'abc'",
     **dict.fromkeys(("master-eq-n-1", "master-eq-gamma-rounds-n-to-1", "tre-ratio-1-dims-1"),
                     "the master equation draws n - 1 rows and needs n >= 2, got n=1"),
     "diagnose-input-p": "diagnose --input does not sample; drop --p",
     "diagnose-singular-eps-0": "sample covariance is singular at eps = 0",
+    "diagnose-singular-leave-one-out":
+        "leave-one-out covariance without row 3 is not positive definite",
 }
 DRAW_CHECKED = {"master-eq-n-1", "master-eq-gamma-rounds-n-to-1", "tre-ratio-1-dims-1"}
 
@@ -527,6 +532,12 @@ def test_failure_contract(case, data_csv, tmp_path, capsys, monkeypatch):
         elif arg is ONE_COLUMN:
             arg = tmp_path / "one_column.csv"
             save_matrix_csv(np.random.default_rng(0).standard_normal((50, 1)), arg)
+        elif arg is LOO_SINGULAR:
+            arg = tmp_path / "loo_singular.csv"
+            x = sample(DistributionSpec("gaussian"), 30, 5, seed=1).samples.copy()
+            x[:, 4] = 0.0
+            x[3, 4] = 1.0
+            save_matrix_csv(x, arg, digits=17)
         elif isinstance(arg, tuple):
             arg = tmp_path / "truth.csv"
             save_matrix_csv(np.ones(args[-1]), arg)

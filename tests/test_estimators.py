@@ -292,7 +292,8 @@ class TestFit:
     @pytest.mark.parametrize("n,p", [(0, 0), (0, 64), (5, 0), (-1, 3)])
     def test_existence_checks_n_and_p_first(self, kind, n, p):
         # ahead of every kind's own rule (TRE's p/n, the missing u of ME/MRE)
-        with pytest.raises(ValueError, match=rf"n and p must be positive, got n={n}, p={p}"):
+        name, value = ("n", n) if n < 1 else ("p", p)
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
             estimators.require_existence(kind, n, p, alpha=1.0)
 
     def test_tyler_kinds_are_the_maronna_template_with_tyler_u(self):

@@ -160,7 +160,7 @@ class TestWeightDeviationExperiment:
         with pytest.raises(ValueError, match=r"mean has shape \(64,\), expected \(128,\)"):
             ExperimentConfig(kind="TE", dist=DistributionSpec("gaussian", mean=np.ones(64)),
                              dims=(64, 128))
-        with pytest.raises(ValueError, match="n and p must be positive, got n=0, p=0"):
+        with pytest.raises(ValueError, match="^dims must be at least 1, got 0$"):
             ExperimentConfig(kind="TRE", dist=GAUSS, dims=(0, 64), alpha=1.0)
 
     @pytest.mark.parametrize("kind", ["TE", "ME", "TRE", "MRE"])
@@ -195,9 +195,8 @@ class TestWeightDeviationExperiment:
         monkeypatch.setattr(robust_scatter.experiment, "solve_master",
                             lambda *a, **k: calls.append(a))
         fields = dict(kind="TRE", dist=GAUSS, dims=(8, 16), alpha=1.0)
-        for bad in (2.5, -1):
-            with pytest.raises(ValueError,
-                               match=f"^seed must be a non-negative integer, got {bad}$"):
+        for bad, rule in ((2.5, "integral"), (-1, "at least 0")):
+            with pytest.raises(ValueError, match=f"^seed must be {rule}, got {bad}$"):
                 weight_deviation_experiment(ExperimentConfig(**fields, base_seed=bad))
         assert calls == []
         # a numpy integer passes, stored as int
@@ -228,6 +227,23 @@ class TestQuadraticFormDiagnostics:
     def test_needs_more_samples_than_dims(self):
         with pytest.raises(ValueError):
             quadratic_form_diagnostics(Dataset(np.eye(3)))
+
+    def test_singular_sample_covariance_is_named(self):
+        x = sample(GAUSS, 30, 5, seed=1).samples.copy()
+        x[:, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^sample covariance is not positive definite$"):
+            quadratic_form_diagnostics(Dataset(x))
+
+    def test_singular_leave_one_out_covariance_names_its_row(self):
+        # column 4 lives only in row 3: S is positive definite, S_{-3} is not
+        x = sample(GAUSS, 30, 5, seed=1).samples.copy()
+        x[:, 4] = 0.0
+        x[3, 4] = 1.0
+        assert np.linalg.eigvalsh(x.T @ x / 30)[0] > 0.01
+        with pytest.raises(np.linalg.LinAlgError, match="^leave-one-out covariance "
+                                                        "without row 3 is not positive definite$"):
+            quadratic_form_diagnostics(Dataset(x))
 
 
 class TestStieltjes:

@@ -234,6 +234,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("seed", [-3, 2.5])
     def test_bad_seed_rejected_before_any_draw(self, monkeypatch, seed):
+        rule = "at least 0" if isinstance(seed, int) else "integral"
         for name in ("sample", "_wishart_tridiagonal"):
             monkeypatch.setattr(robust_scatter.master_equation, name,
                                 lambda *args: pytest.fail("drew before checking the seed"))
@@ -241,7 +242,7 @@ class TestBuild:
             for build in (lambda: QMonteCarlo(spec, 20, 4, reps=2, seed=seed),
                           lambda: solve_master(spec, 20, 4, alpha=1.0, reps=2, seed=seed)):
                 with pytest.raises(ValueError,
-                                   match=f"^seed must be a non-negative integer, got {seed}$"):
+                                   match=f"^seed must be {rule}, got {seed}$"):
                     build()
 
     def test_wrong_dimension_shape_rejected(self):

@@ -1,16 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
+import robust_scatter
 from robust_scatter import (
     CsvFormatError,
     Dataset,
+    DistributionSpec,
+    ExperimentConfig,
     ScatterMatrix,
+    SolverConfig,
+    derive_seed,
     leave_one_out_covariance,
     load_dataset_csv,
     matrix_norms,
+    require_existence,
+    sample,
     sample_covariance,
     save_matrix_csv,
+    solve_master,
 )
+from robust_scatter.cli import build_parser
+from robust_scatter.master_equation import QMonteCarlo
+from robust_scatter.parallel import map_units
 
 
 def brute_force_cov(rows):
@@ -191,3 +204,87 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CsvFormatError):
             load_dataset_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the count rule: every count, size, seed and index goes through require_count
+# ---------------------------------------------------------------------------
+
+_GAUSS = DistributionSpec("gaussian")
+
+
+def _clime_cli(threads, tmp_path):
+    path = tmp_path / "data.csv"
+    save_matrix_csv(np.random.default_rng(0).standard_normal((40, 4)), path)
+    args = build_parser().parse_args(["clime", "--input", str(path), "--lambda", "0.3",
+                                      "--out", str(tmp_path / "out.csv")])
+    args.threads = threads  # past the parser's type=int, as a library caller could
+    robust_scatter.cli._cmd_clime(args)
+
+
+def _experiment(**fields):
+    return ExperimentConfig(**{"kind": "TE", "dist": _GAUSS, "dims": (4,), "reps": 2, **fields})
+
+
+# input -> (name in the message, minimum, call taking (value, tmp_path)); the
+# call returns the int the callee stored, or None where it only checks
+COUNT_INPUTS = {
+    "require_existence-n": ("n", 1, lambda v, _: require_existence("TE", v, 5)),
+    "require_existence-p": ("p", 1, lambda v, _: require_existence("TRE", 10, v, alpha=1.0)),
+    "require_dims-n": ("n", 1, lambda v, _: _GAUSS.require_dims(v, 3)),
+    "require_dims-p": ("p", 1, lambda v, _: _GAUSS.require_dims(3, v)),
+    "sample-n": ("n", 1, lambda v, _: sample(_GAUSS, v, 5, 1).n),
+    "sample-seed": ("seed", 0, lambda v, _: sample(_GAUSS, 4, 3, v) and None),
+    "derive_seed-seed": ("seed", 0, lambda v, _: derive_seed(v, 1) and None),
+    "derive_seed-path": ("path index", 0, lambda v, _: derive_seed(5, v) and None),
+    "solve_master-n": ("n", 1, lambda v, _: solve_master(_GAUSS, v, 5, 1.0, reps=20, seed=3)
+                       and None),
+    "solve_master-reps": ("reps", 1, lambda v, _: solve_master(_GAUSS, 20, 5, 1.0, reps=v,
+                                                               seed=3).mc_reps),
+    "solve_master-seed": ("seed", 0, lambda v, _: solve_master(_GAUSS, 20, 5, 1.0, reps=20,
+                                                               seed=v) and None),
+    "QMonteCarlo-n": ("n", 1, lambda v, _: QMonteCarlo(_GAUSS, v, 5, 20, 3) and None),
+    "QMonteCarlo-reps": ("reps", 1, lambda v, _: QMonteCarlo(_GAUSS, 20, 5, v, 3).reps),
+    "max_iter": ("max_iter", 1, lambda v, _: SolverConfig(max_iter=v).max_iter),
+    "map_units-threads": ("threads", 1, lambda v, _: map_units(abs, [-1, 2], v) and None),
+    "clime-cli-threads": ("threads", 1, _clime_cli),
+    "experiment-dims": ("dims", 1, lambda v, _: _experiment(dims=(v,)).dims[0]),
+    **{f"experiment-{field}": (name, minimum,
+                               lambda v, _, field=field: getattr(_experiment(**{field: v}), field))
+       for field, name, minimum in (("ratio", "ratio", 1),
+                                    ("reps", "reps", 1), ("mc_reps", "mc_reps", 1),
+                                    ("threads", "threads", 1), ("base_seed", "seed", 0))},
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a draw or solve ran before the count was checked")
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", None, "below"], ids=["float", "str", "none", "below"])
+@pytest.mark.parametrize("case", COUNT_INPUTS, ids=list(COUNT_INPUTS))
+def test_count_rule_has_one_owner(case, bad, tmp_path, monkeypatch):
+    name, minimum, call = COUNT_INPUTS[case]
+    for module, attr in ((robust_scatter.samplers, "_isotropic_rows"),
+                         (robust_scatter.master_equation, "sample"),
+                         (robust_scatter.master_equation, "_wishart_tridiagonal"),
+                         (robust_scatter.estimators, "_solve"),
+                         (robust_scatter.experiment, "sample"),
+                         (robust_scatter.experiment, "solve_master"),
+                         (robust_scatter.experiment, "fit"),
+                         (robust_scatter.cli, "tyler"),
+                         (robust_scatter.sparse, "solve_lp")):
+        monkeypatch.setattr(module, attr, _no_work)
+    if bad == "below":
+        bad, rule = minimum - 1, f"at least {minimum}"
+    else:
+        rule = "integral"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {rule}, "
+                                         f"got {re.escape(repr(bad))}$"):
+        call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("case", COUNT_INPUTS, ids=list(COUNT_INPUTS))
+def test_count_rule_passes_numpy_integers_as_int(case, tmp_path):
+    stored = COUNT_INPUTS[case][2](np.int64(6), tmp_path)
+    assert stored is None or (stored == 6 and type(stored) is int)

@@ -14,7 +14,8 @@ from robust_scatter import (
     spd_sqrt,
     symmetrize,
 )
-from robust_scatter.samplers import _balanced_signs, require_seed
+from robust_scatter.model import require_count
+from robust_scatter.samplers import _balanced_signs
 
 
 class TestFamilies:
@@ -34,8 +35,8 @@ class TestFamilies:
             sample(DistributionSpec("permuted-smoothed"), 10, 5, seed=0)
 
     @pytest.mark.parametrize("spec,n,p,message", [
-        (DistributionSpec("gaussian"), 0, 4, "n and p must be positive, got n=0, p=4"),
-        (DistributionSpec("gaussian"), 3, 0, "n and p must be positive, got n=3, p=0"),
+        (DistributionSpec("gaussian"), 0, 4, "n must be at least 1, got 0"),
+        (DistributionSpec("gaussian"), 3, 0, "p must be at least 1, got 0"),
         (DistributionSpec("permuted-smoothed"), 3, 5, "even p, got p=5"),
         (DistributionSpec("gaussian", shape=ScatterMatrix(np.eye(3))), 3, 4,
          "shape matrix is 3x3, expected p=4"),
@@ -212,15 +213,17 @@ def test_derive_seed_is_deterministic_and_distinct():
                          ids=["float", "negative", "numpy-negative", "str", "none"])
 def test_seed_rule_has_one_owner(seed):
     # every draw and every derived seed checks the seed before it draws
-    message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
-    for call in (lambda: require_seed(seed), lambda: derive_seed(seed, 1),
+    rule = "at least 0" if isinstance(seed, (int, np.integer)) else "integral"
+    message = f"^seed must be {rule}, got {re.escape(repr(seed))}$"
+    for call in (lambda: require_count("seed", seed, 0), lambda: derive_seed(seed, 1),
                  lambda: sample(DistributionSpec("gaussian"), 4, 2, seed)):
         with pytest.raises(ValueError, match=message):
             call()
 
 
 def test_numpy_integer_seeds_pass():
-    assert require_seed(np.int64(7)) == 7 and type(require_seed(np.uint32(7))) is int
+    assert require_count("seed", np.int64(7), 0) == 7
+    assert type(require_count("seed", np.uint32(7), 0)) is int
     spec = DistributionSpec("laplace-iid")
     assert np.array_equal(sample(spec, 5, 3, np.int32(7)).samples, sample(spec, 5, 3, 7).samples)
     assert derive_seed(np.int64(5), 1) == derive_seed(5, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robust_scatter import Dataset, clime, clime_column, tyler
-from robust_scatter.errors import InfeasibleError, UnboundedError
+from robust_scatter.errors import InfeasibleError
 from robust_scatter.simplex import solve_lp
 from lp_oracle import clime_column_linprog
 
@@ -58,11 +58,6 @@ def test_infeasible_detected():
 def test_unmeetable_ranged_row_infeasible(a, lb, ub):
     with pytest.raises(InfeasibleError):
         solve_lp([1.0], [[a]], [lb], [ub])
-
-
-def test_unbounded_detected():
-    with pytest.raises(UnboundedError):
-        solve_lp([-1.0], [[-1.0]], [-INF], [0.0])  # min -x with only x >= 0 binding
 
 
 def test_degenerate_and_redundant_rows():
